@@ -192,8 +192,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Gate 2: substrate routing — sparse_csr vs the dense field on a sparse
-  // graph well past the auto-router's dense ceiling.
+  // Gate 2: substrate — sparse_csr vs the dense field on a sparse graph.
   const auto substrate_n = static_cast<gcalib::graph::NodeId>(
       argc > 3 ? std::stoul(argv[3]) : 2048);
   const gcalib::graph::Graph sg = gcalib::graph::random_gnp(

@@ -12,13 +12,13 @@
 //   $ ./gca_cc_tool --generate gnp:0.5 --n 128 --threads 4 --policy pool
 //
 // Algorithms: gca (default) | tree | ncells | pram | sv | unionfind | bfs
-// Engine flags (--threads, --policy, --sweep, --substrate,
-// --no-instrumentation, --record-access, --trace-out, --metrics-out) steer
-// the solver backend and its observability; invalid combinations (e.g.
-// --record-access with --threads 2) are rejected before the run with exit
-// status 2.  --substrate picks the gca algorithm's engine: dense is the
-// paper-faithful cell field, sparse_csr the O(m)-work CSR label-propagation
-// engine, auto (default) routes by size and density — labelings are
+// Engine flags (--threads, --policy, --sweep, --no-instrumentation,
+// --record-access, --trace-out, --metrics-out) steer the solver backend and
+// its observability; invalid combinations (e.g. --record-access with
+// --threads 2) are rejected before the run with exit status 2.
+// --substrate picks the gca algorithm's engine by name: dense (default) is
+// the paper-faithful cell field, sparse_csr the O(m)-work CSR
+// label-propagation engine the production Runner runs — labelings are
 // bit-identical either way (DESIGN.md §12).
 // --sweep sparse (default) sweeps only each generation's active region;
 // --sweep dense sweeps the whole field every step (verification mode) —
@@ -89,10 +89,9 @@ struct LabelingOutcome {
   std::size_t congestion = 0;  ///< max read congestion (0 = n/a)
 };
 
-/// The engine-backed "gca" algorithm, routed by substrate: dense keeps the
-/// full resilience feature set (durable checkpoints, access recording);
-/// sparse_csr runs the CSR engine through the Runner for the same retry /
-/// deadline / recovered-note semantics.
+/// The engine-backed "gca" algorithm on the CSR engine: runs through the
+/// Runner for the same retry / deadline / recovered-note semantics the
+/// dense path implements by hand below.
 LabelingOutcome run_gca_sparse(const graph::Graph& g,
                                const cli::EngineFlags& exec,
                                const gca::EngineOptions& engine,
@@ -105,9 +104,6 @@ LabelingOutcome run_gca_sparse(const graph::Graph& g,
   core::RunnerOptions options;
   options.threads = engine.threads;
   options.policy = engine.policy;
-  options.sweep = engine.sweep;
-  options.substrate = gca::SubstrateMode::kSparseCsr;
-  options.kernels = engine.kernels;
   options.sparse_mode = engine.sparse_mode;
   options.instrument = engine.instrumentation;
   options.sink = trace;
@@ -142,24 +138,12 @@ LabelingOutcome run_gca_sparse(const graph::Graph& g,
 }
 
 LabelingOutcome run_algorithm(const std::string& name, const graph::Graph& g,
-                              const cli::EngineFlags& exec,
+                              bool sparse_csr, const cli::EngineFlags& exec,
                               const gca::EngineOptions& engine,
                               gca::Trace* trace) {
   LabelingOutcome out;
   if (name == "gca") {
-    // Auto-routing respects dense-only features: a query that wants access
-    // recording stays on the dense machine (the same rule core::Runner
-    // applies via requires_dense_machine).  Durable checkpoints no longer
-    // pin — both substrates write them (GCKP / GSKP, DESIGN.md §15).
-    gca::SubstrateMode requested = engine.substrate;
-    if (requested == gca::SubstrateMode::kAuto && exec.record_access) {
-      requested = gca::SubstrateMode::kDense;
-    }
-    const gca::SubstrateMode resolved = core::resolve_substrate(
-        requested, g.node_count(), g.edge_count());
-    if (resolved == gca::SubstrateMode::kSparseCsr) {
-      return run_gca_sparse(g, exec, engine, trace);
-    }
+    if (sparse_csr) return run_gca_sparse(g, exec, engine, trace);
     core::RunOptions options;
     options.instrument = exec.instrumentation;
     options.threads = exec.threads;
@@ -240,6 +224,7 @@ int main(int argc, char** argv) {
                                    {"generate", true},
                                    {"n", true},
                                    {"seed", true},
+                                   {"substrate", true},
                                    {"stats", false},
                                    {"quiet", false},
                                    {"verify", false}}));
@@ -248,9 +233,17 @@ int main(int argc, char** argv) {
     const cli::EngineFlags exec = cli::engine_flags(args);
     // Reject bad combos before the run — the shared exit-2 surface.
     const gca::EngineOptions engine = gca::options_from_flags_or_exit(exec);
+    const std::string substrate = args.get_string("substrate", "dense");
+    if (substrate != "dense" && substrate != "sparse_csr") {
+      std::fprintf(stderr,
+                   "error: unknown substrate '%s' (expected dense | "
+                   "sparse_csr)\n",
+                   substrate.c_str());
+      return 2;
+    }
     gca::Trace trace;
     const LabelingOutcome outcome =
-        run_algorithm(algorithm, g, exec, engine,
+        run_algorithm(algorithm, g, substrate == "sparse_csr", exec, engine,
                       exec.wants_metrics() ? &trace : nullptr);
 
     if (args.has("verify")) {

@@ -77,12 +77,6 @@ int main(int argc, char** argv) {
   const gcalib::gca::EngineOptions engine =
       gcalib::gca::options_from_flags_or_exit(exec);
   policy = engine.policy;
-  if (engine.substrate == gcalib::gca::SubstrateMode::kSparseCsr) {
-    std::fprintf(stderr,
-                 "warning: --substrate sparse_csr is ignored by "
-                 "gca_resilient_cc (fault injection instruments the dense "
-                 "cell field)\n");
-  }
   if (n < 1) {
     std::fprintf(stderr, "error: --n must be >= 1\n");
     return 2;

@@ -10,11 +10,16 @@
 //   $ ./gcad --threads 4 --journal /tmp/gcad.gcqj &
 //   $ echo '{"id":1,"op":"solve","n":4,"edges":[[0,1],[2,3]]}' > /proc/$!/fd/0
 //
+// Every query runs on the CSR engine (DESIGN.md §12); the dense field's
+// knobs (--sweep, --kernels, --record-access) are rejected as unknown
+// options.
+//
 // Exit status: 0 clean drain, 1 drain timeout left journaled work behind,
-// 2 usage error.
+// 2 invalid option value, 64 unknown option.
 #include <csignal>
 #include <cstdio>
 #include <iostream>
+#include <map>
 #include <string>
 
 #include "common/cli.hpp"
@@ -34,15 +39,19 @@ extern "C" void on_sigterm(int) {
 
 int main(int argc, char** argv) {
   using namespace gcalib;
-  const CliArgs args = CliArgs::parse_or_exit(
-      argc, argv,
+  std::map<std::string, bool> spec =
       cli::with_runner_flags({{"queue-cap", true},
                               {"max-batch", true},
                               {"journal", true},
                               {"fault-rate", true},
                               {"fault-seed", true},
                               {"drain-timeout-ms", true},
-                              {"quiet", false}}));
+                              {"quiet", false}});
+  // Naming a dense-field knob is a usage error (exit 64), not a no-op.
+  for (const char* dense_only : {"sweep", "kernels", "record-access"}) {
+    spec.erase(dense_only);
+  }
+  const CliArgs args = CliArgs::parse_or_exit(argc, argv, spec);
 
   const auto require = [](bool ok, const char* what) {
     if (!ok) {
@@ -58,15 +67,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   // One shared validation surface with the other tools: an inconsistent
-  // engine combination (--substrate marble, --threads 0, ...) exits 2 with
-  // the same diagnosis everywhere.
+  // engine combination (--policy warp, --threads 2 --policy sequential, ...)
+  // exits 2 with the same diagnosis everywhere.
   const gca::EngineOptions engine = gca::options_from_flags_or_exit(flags.engine);
 
   gcad::ServerOptions options;
   options.threads = engine.threads;
   options.policy = engine.policy;
-  options.sweep = engine.sweep;
-  options.substrate = engine.substrate;
   // The daemon's default stays one retry (resilience posture), but an
   // explicit --retries on the command line wins.
   options.retries =
@@ -79,13 +86,13 @@ int main(int argc, char** argv) {
   }
   // Two durability layers compose: the queue journal (--journal) replays
   // accepted-but-unfinished *queries*, and --checkpoint-dir resumes each
-  // replayed query's *solve* mid-lattice from its per-query GCKP/GSKP
-  // artifact (DESIGN.md §15).
+  // replayed query's *solve* mid-lattice from its per-query GSKP artifact
+  // (DESIGN.md §15).
   options.checkpoint_dir = flags.engine.checkpoint_dir;
-  if (flags.engine.record_access || flags.engine.wants_metrics()) {
+  if (flags.engine.wants_metrics()) {
     std::fprintf(stderr,
-                 "warning: --record-access/--trace-out/--metrics-out are "
-                 "ignored by gcad (service counters go to stderr)\n");
+                 "warning: --trace-out/--metrics-out are ignored by gcad "
+                 "(service counters go to stderr)\n");
   }
   require(args.get_int("queue-cap", 256) >= 1, "--queue-cap must be >= 1");
   options.admission.queue_capacity =

@@ -14,7 +14,7 @@
 //
 //   $ ./gcad_soak --gcad ./gcad --queries 200 --kill --fault-rate 0.5
 //   $ ./gcad_soak --gcad ./gcad --queries 200 --kill --fault-rate 0.5
-//       [--substrate sparse_csr --checkpoint-dir /tmp/soak_ckpt]  # sparse leg
+//       --checkpoint-dir /tmp/soak_ckpt  # + mid-solve GSKP resume
 //
 // Exit status: 0 all audits pass, 1 an audit failed, 64 usage error.
 #include <fcntl.h>
@@ -220,7 +220,6 @@ int main(int argc, char** argv) {
        {"seed", true},
        {"fault-rate", true},
        {"journal", true},
-       {"substrate", true},
        {"checkpoint-dir", true},
        {"kill", false},
        {"verbose", false}});
@@ -243,14 +242,8 @@ int main(int argc, char** argv) {
     daemon_args.push_back("--fault-rate");
     daemon_args.push_back(args.get_string("fault-rate", "0"));
   }
-  // --substrate sparse_csr runs the whole soak on the CSR engine (the
-  // sparse leg of the resilience matrix); --checkpoint-dir adds durable
-  // per-query GCKP/GSKP artifacts, so the SIGKILL scenario also exercises
-  // mid-solve resume, not just journal replay.
-  if (args.has("substrate")) {
-    daemon_args.push_back("--substrate");
-    daemon_args.push_back(args.get_string("substrate", "auto"));
-  }
+  // --checkpoint-dir adds durable per-query GSKP artifacts, so the SIGKILL
+  // scenario also exercises mid-solve resume, not just journal replay.
   if (args.has("checkpoint-dir")) {
     daemon_args.push_back("--checkpoint-dir");
     daemon_args.push_back(args.get_string("checkpoint-dir", ""));

@@ -87,12 +87,6 @@ int main(int argc, char** argv) {
     }
     const cli::EngineFlags flags = cli::engine_flags(args);
     const gca::EngineOptions exec = gca::options_from_flags_or_exit(flags);
-    if (exec.substrate == gca::SubstrateMode::kSparseCsr) {
-      std::fprintf(stderr,
-                   "warning: --substrate sparse_csr is ignored by gcal_run "
-                   "(the GCAL interpreter executes on the dense cell "
-                   "field)\n");
-    }
     if (!flags.checkpoint_dir.empty()) {
       std::fprintf(stderr,
                    "warning: --checkpoint-dir is ignored by gcal_run "

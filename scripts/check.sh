@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Builds gcalib under a sanitizer configuration and runs the full test
-# suite (see README, "Sanitizer builds"), then a perf-smoke pass from a
-# Release tree: the sparse active-region sweep must not be slower than the
-# dense whole-field sweep at n = 128 (>10% regression fails the check).
+# suite (see README, "Sanitizer builds"), then builds the whole tree in
+# Release with warnings as errors and runs the full suite there, then a
+# perf-smoke pass from that Release tree: the sparse active-region sweep
+# must not be slower than the dense whole-field sweep at n = 128 (>10%
+# regression fails the check).
 #
 #   scripts/check.sh            # ASan + UBSan, then perf + crash smoke
 #   scripts/check.sh thread     # TSan (exercises the parallel sweep)
@@ -11,6 +13,7 @@
 #   SKIP_TSAN_SMOKE=1 scripts/check.sh  # skip the TSan concurrent-mode pass
 #   SKIP_CRASH_SMOKE=1 scripts/check.sh # skip the SIGKILL-resume smoke
 #   SKIP_SOAK_SMOKE=1 scripts/check.sh  # skip the gcad fault/kill soak
+#   SKIP_RELEASE_BUILD=1 scripts/check.sh  # skip the full Release build + ctest
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -38,7 +41,7 @@ cmake --build "$BUILD_DIR" -j"$JOBS"
 # seconds.  (Skipped when the caller passes its own ctest selection.)
 if [ "$#" -eq 0 ]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" \
-    -R '^([A-Za-z]+/)?(Engine|Metrics|Trace|Cli|Io|ActiveRegion|SweepIdentity|Checkpoint|Cancel|Gcad|Status|Substrate|Sparse|CcSolver|CsrGraph|AutoSubstrate|SolverInput|Runner|Kernel|BitPlane|Worklist|SparseFault|Certificate|Gskp|FuzzJournal)[A-Za-z]*\.'
+    -R '^([A-Za-z]+/)?(Engine|Metrics|Trace|Cli|Io|ActiveRegion|SweepIdentity|Checkpoint|Cancel|Gcad|Status|Substrate|Sparse|CcSolver|CsrGraph|SolverInput|Runner|Kernel|BitPlane|Worklist|SparseFault|Certificate|Gskp|FuzzJournal)[A-Za-z]*\.'
 fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" "$@"
@@ -72,6 +75,19 @@ if [ "${SKIP_TSAN_SMOKE:-0}" != "1" ] && [ "$SANITIZER" != "thread" ] \
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j"$JOBS" \
     -R '^([A-Za-z]+/)?(SparseMode|SparseAsync|SparseFault|Certificate|Gskp)[A-Za-z]*\.'
   echo "tsan smoke: OK (concurrent sparse modes + resilience are race-clean)"
+fi
+
+# Release leg: the whole tree — tests included — in the Release build
+# type, warnings as errors, then the full suite there.  The PaperGolden
+# tests pin the paper benches' output in this build type too.  The tree is
+# the one the Release smokes below reuse.
+if [ "${SKIP_RELEASE_BUILD:-0}" != "1" ]; then
+  RELEASE_BUILD_DIR="${PERF_BUILD_DIR:-build-bench}"
+  cmake -B "$RELEASE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
+    -DGCALIB_WERROR=ON
+  cmake --build "$RELEASE_BUILD_DIR" -j"$JOBS"
+  ctest --test-dir "$RELEASE_BUILD_DIR" --output-on-failure -j"$JOBS"
+  echo "release build: OK (warnings as errors, full suite green)"
 fi
 
 # Perf smoke: timing under a sanitizer is meaningless, so this builds the
@@ -179,14 +195,13 @@ if [ "${SKIP_SOAK_SMOKE:-0}" != "1" ]; then
     || { echo "gcad soak smoke: FAIL" >&2; exit 1; }
   echo "gcad soak smoke: OK (faults + SIGKILL + restart, zero loss)"
 
-  # Sparse leg of the same soak: force the CSR substrate so the injected
-  # faults hit the CAS-min engine, and hand the daemon a checkpoint
+  # Checkpointed leg of the same soak: hand the daemon a checkpoint
   # directory so journal-replayed queries resume their solves from durable
   # per-query GSKP state instead of recomputing from round zero.
   "$PERF_BUILD_DIR"/examples/gcad_soak \
     --gcad "$PERF_BUILD_DIR"/examples/gcad \
     --journal "$SOAK_DIR/soak_sparse.gcqj" \
-    --substrate sparse_csr --checkpoint-dir "$SOAK_DIR/ckpt" \
+    --checkpoint-dir "$SOAK_DIR/ckpt" \
     --queries 120 --fault-rate 0.3 --kill \
     || { echo "gcad sparse soak smoke: FAIL" >&2; exit 1; }
   echo "gcad sparse soak smoke: OK (sparse faults + SIGKILL + resume, zero loss)"

@@ -102,7 +102,6 @@ std::map<std::string, bool> with_engine_flags(
   spec.emplace("threads", true);
   spec.emplace("policy", true);
   spec.emplace("sweep", true);
-  spec.emplace("substrate", true);
   spec.emplace("sparse-mode", true);
   spec.emplace("kernels", true);
   spec.emplace("no-instrumentation", false);
@@ -124,7 +123,6 @@ EngineFlags engine_flags(const CliArgs& args) {
   flags.threads = static_cast<unsigned>(threads);
   flags.policy = args.get_string("policy", flags.policy);
   flags.sweep = args.get_string("sweep", flags.sweep);
-  flags.substrate = args.get_string("substrate", flags.substrate);
   flags.sparse_mode = args.get_string("sparse-mode", flags.sparse_mode);
   flags.kernels = args.get_string("kernels", flags.kernels);
   flags.instrumentation = !args.has("no-instrumentation");
@@ -143,15 +141,6 @@ EngineFlags engine_flags(const CliArgs& args) {
   }
   flags.retries = static_cast<unsigned>(retries);
   return flags;
-}
-
-std::map<std::string, bool> with_execution_flags(
-    std::map<std::string, bool> spec) {
-  return with_engine_flags(std::move(spec));
-}
-
-ExecutionFlags execution_flags(const CliArgs& args) {
-  return engine_flags(args);
 }
 
 std::map<std::string, bool> with_runner_flags(

@@ -50,12 +50,8 @@ namespace cli {
 ///   --policy NAME          sequential | spawn | pool (default "pool")
 ///   --sweep MODE           dense | sparse (default "sparse"): whether the
 ///                          engine honours per-generation active regions
-///   --substrate NAME       dense | sparse_csr | auto (default "auto"):
-///                          which solver substrate a query runs on — the
-///                          paper's cell field or the CSR label-propagation
-///                          engine (DESIGN.md §12)
 ///   --sparse-mode NAME     sync | async | auto (default "auto"): the CSR
-///                          substrate's generation loop — double-buffered
+///                          engine's generation loop — double-buffered
 ///                          synchronous sweeps (the golden reference) or
 ///                          concurrent CAS-min label propagation with
 ///                          frontier worklists; auto picks async whenever
@@ -70,10 +66,13 @@ namespace cli {
 ///   --checkpoint-dir DIR   durable checkpoints: resume from an intact
 ///                          checkpoint found in DIR and keep it current
 ///   --retries N            re-attempts after a detected-corruption failure
-/// The policy, sweep mode, substrate, sparse mode and kernel variant are
-/// carried as their spelled names; convert with
-/// gca::parse_execution_policy / gca::parse_sweep_mode /
-/// gca::parse_substrate_mode / gca::parse_sparse_mode /
+/// Which connected-components engine runs is not an engine flag: production
+/// entry points (core::Runner, gcad) always run the CSR engine, and
+/// `gca_cc_tool --substrate dense|sparse_csr` picks one by name
+/// (DESIGN.md §12).
+/// The policy, sweep mode, sparse mode and kernel variant are carried as
+/// their spelled names; convert with gca::parse_execution_policy /
+/// gca::parse_sweep_mode / gca::parse_sparse_mode /
 /// gca::parse_kernel_variant (or build validated engine options with
 /// gca::options_from_flags) at the point of use — common/ stays below gca/
 /// in the layering.
@@ -81,7 +80,6 @@ struct EngineFlags {
   unsigned threads = 1;
   std::string policy = "pool";
   std::string sweep = "sparse";
-  std::string substrate = "auto";
   std::string sparse_mode = "auto";
   std::string kernels = "auto";
   bool instrumentation = true;
@@ -98,10 +96,6 @@ struct EngineFlags {
   }
 };
 
-/// Pre-rename spelling of `EngineFlags` (kept for out-of-tree callers; the
-/// in-repo tools all migrated with the `--substrate` redesign).
-using ExecutionFlags = EngineFlags;
-
 /// Adds the shared engine options to a tool's option spec.
 [[nodiscard]] std::map<std::string, bool> with_engine_flags(
     std::map<std::string, bool> spec);
@@ -109,11 +103,6 @@ using ExecutionFlags = EngineFlags;
 /// Extracts the shared engine flags; throws std::runtime_error on invalid
 /// values (e.g. --threads 0).
 [[nodiscard]] EngineFlags engine_flags(const CliArgs& args);
-
-/// Pre-rename spellings (see `ExecutionFlags`).
-[[nodiscard]] std::map<std::string, bool> with_execution_flags(
-    std::map<std::string, bool> spec);
-[[nodiscard]] ExecutionFlags execution_flags(const CliArgs& args);
 
 /// The service/batch flags of tools that drive a `core::Runner` (today:
 /// gcad) on top of the engine flags:

@@ -1,15 +1,10 @@
 #include "core/cc_solver.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <utility>
 
 #include "common/assert.hpp"
-#include "core/hirschberg_gca.hpp"
 #include "core/sparse_cc_solver.hpp"
 #include "gca/cancel.hpp"
-#include "graph/certificate.hpp"
-#include "graph/labeling.hpp"
 
 namespace gcalib::core {
 
@@ -55,136 +50,9 @@ QueryOutcome CcSolver::try_solve(const SolverInput& input,
   return outcome;
 }
 
-gca::SubstrateMode auto_substrate(graph::NodeId n, std::size_t m) {
-  if (n == 0) return gca::SubstrateMode::kDense;
-  // Dense iff m >= ceil(n^2 / 8).  Compared in the divided form: the
-  // once-natural `8 * m >= n * n` wraps for m > SIZE_MAX / 8 (a legal
-  // multigraph edge count) and would misroute exactly the huge-m queries
-  // where the wrong substrate hurts most.  n <= 512 keeps n * n far from
-  // overflow on its side.
-  if (n <= 512 && m >= (std::size_t{n} * n + 7) / 8) {
-    return gca::SubstrateMode::kDense;
-  }
-  return gca::SubstrateMode::kSparseCsr;
-}
-
-gca::SubstrateMode auto_substrate(graph::NodeId n, std::size_t m,
-                                  unsigned threads) {
-  if (n == 0) return gca::SubstrateMode::kDense;
-  // The parallel CSR path divides its solve time by roughly the effective
-  // parallelism p = 1 + (threads - 1) / 2, so dense has to be p times as
-  // profitable before it wins the routing.  n <= 512 bounds the product:
-  // ceil(n^2 / 8) <= 32768, far from std::size_t overflow at any thread
-  // count.
-  const std::size_t parallelism =
-      1 + (std::size_t{std::max(threads, 1u)} - 1) / 2;
-  if (n <= 512 && m >= parallelism * ((std::size_t{n} * n + 7) / 8)) {
-    return gca::SubstrateMode::kDense;
-  }
-  return gca::SubstrateMode::kSparseCsr;
-}
-
-gca::SubstrateMode resolve_substrate(gca::SubstrateMode requested,
-                                     graph::NodeId n, std::size_t m) {
-  return requested == gca::SubstrateMode::kAuto ? auto_substrate(n, m)
-                                                : requested;
-}
-
-gca::SubstrateMode resolve_substrate(gca::SubstrateMode requested,
-                                     graph::NodeId n, std::size_t m,
-                                     unsigned threads) {
-  return requested == gca::SubstrateMode::kAuto
-             ? auto_substrate(n, m, threads)
-             : requested;
-}
-
-bool requires_dense_machine(const RunOptions& options) {
-  // Only the HirschbergGca-typed hooks pin the dense machine.  The
-  // substrate-agnostic resilience options (checkpoint_dir, recovery,
-  // certify, sparse_monitors, the sparse round hooks) are implemented by
-  // both substrates since DESIGN.md §15 and deliberately absent here:
-  // pinning a million-vertex fault-tolerant query onto the O(n²) field was
-  // the routing footgun this predicate used to be.
-  return options.record_access || static_cast<bool>(options.on_step) ||
-         static_cast<bool>(options.before_step) ||
-         static_cast<bool>(options.after_step) ||
-         static_cast<bool>(options.detect) ||
-         static_cast<bool>(options.final_check) ||
-         static_cast<bool>(options.on_restore);
-}
-
-namespace {
-
-/// The paper-faithful substrate: one `HirschbergGca` machine per query.
-/// Honours every RunOptions hook — this is the engine the fault-recovery
-/// ladder, durable checkpoints and access recording were built around.
-class DenseFieldSolver final : public CcSolver {
- public:
-  [[nodiscard]] const char* name() const override { return "dense-field"; }
-  [[nodiscard]] gca::SubstrateMode substrate() const override {
-    return gca::SubstrateMode::kDense;
-  }
-
-  [[nodiscard]] QueryResult solve(const SolverInput& input,
-                                  const RunOptions& options) const override {
-    QueryResult result;
-    if (input.node_count() == 0) return result;
-    HirschbergGca machine(input.dense());
-    RunResult run = machine.run(options);
-    result.components = graph::component_count(run.labels);
-    result.labels = std::move(run.labels);
-    result.generations = run.generations;
-    result.rollbacks = run.rollbacks;
-    result.restarts = run.restarts;
-    result.diagnoses = std::move(run.diagnoses);
-    result.resumed = run.resumed;
-    result.resume_round = run.resume_iteration;
-    result.sweeps.reserve(run.records.size());
-    for (StepRecord& record : run.records) {
-      result.sweeps.push_back(std::move(record.stats));
-    }
-    if (options.certify) {
-      // Dense queries are small by routing (n <= 512), so materialising
-      // the CSR view for the certificate is cheap relative to the field.
-      const graph::CsrGraph& csr = input.csr();
-      graph::ForestCertificate certificate;
-      Status status = build_certificate(csr, result.labels, certificate);
-      if (status.ok()) {
-        status = verify_certificate(csr, result.labels, result.components,
-                                    certificate);
-      }
-      if (!status.ok()) throw ContractViolation(status.message);
-      result.certified = true;
-    }
-    return result;
-  }
-};
-
-}  // namespace
-
-const CcSolver& dense_cc_solver() {
-  static const DenseFieldSolver solver;
-  return solver;
-}
-
 const CcSolver& sparse_cc_solver() {
   static const SparseCcSolver solver;
   return solver;
-}
-
-const CcSolver& cc_solver_for(gca::SubstrateMode substrate) {
-  switch (substrate) {
-    case gca::SubstrateMode::kDense:
-      return dense_cc_solver();
-    case gca::SubstrateMode::kSparseCsr:
-      return sparse_cc_solver();
-    case gca::SubstrateMode::kAuto:
-      break;
-  }
-  GCALIB_EXPECTS_MSG(false,
-                     "cc_solver_for: kAuto must be resolved against a "
-                     "concrete query first (resolve_substrate)");
-  return dense_cc_solver();
 }
 
 }  // namespace gcalib::core

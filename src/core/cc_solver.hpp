@@ -1,22 +1,20 @@
-// CcSolver — the substrate-agnostic connected-components interface.
+// CcSolver — the connected-components interface both engines implement.
 //
-// Everything above the engines (the Runner, the gcad dispatch path, the CLI
-// tools) programs against this interface instead of constructing a
-// `HirschbergGca` concretely, so a query can run on either substrate behind
-// one contract (DESIGN.md §12):
+// Two engines sit behind one contract (DESIGN.md §12):
 //
-//  * `DenseFieldSolver` — the paper-faithful (n+1) x n cell field
+//  * `sparse_cc_solver()` — O(m)-work Hirschberg-style hooking / pointer
+//    jumping over an immutable CSR adjacency (core/sparse_cc_solver.hpp).
+//    The production engine: `core::Runner` and gcad run every query on it.
+//  * `dense_cc_solver()` — the paper-faithful (n+1) x n cell field
 //    (core/hirschberg_gca.hpp), the golden reference with the full Table-1
-//    observability, checkpoint/rollback recovery and durable checkpoints;
-//  * `SparseCcSolver` — O(m)-work Hirschberg-style hooking/pointer-jumping
-//    over an immutable CSR adjacency (core/sparse_cc_solver.hpp), the
-//    substrate that scales to millions of edges.
+//    observability, checkpoint/rollback recovery and durable checkpoints.
+//    Declared here, defined next to `HirschbergGca`, and reached only by
+//    name — tests, benches and `gca_cc_tool --substrate dense`.
 //
 // Both consume the same `RunOptions` (threads / policy / deadline / cancel /
 // metrics sink / self_check) and produce the same min-node-id canonical
 // labeling, bit-identical to each other and across every execution backend
-// and thread count.  Routing between them is `SubstrateMode` plus the
-// `auto_substrate` heuristic.
+// and thread count.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +24,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "gca/execution.hpp"
 #include "gca/instrumentation.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
@@ -61,7 +58,7 @@ class SolverInput {
   [[nodiscard]] bool has_csr() const { return csr_ != nullptr; }
 
   /// Dense view; materialised from the CSR on first use (O(n^2) memory —
-  /// the auto router never sends a large CSR graph here).
+  /// only the dense reference solver asks for it).
   [[nodiscard]] const graph::Graph& dense() const;
 
   /// CSR view; materialised from the dense graph on first use (O(n + m)).
@@ -132,9 +129,6 @@ class CcSolver {
   /// Human-readable solver name ("dense-field" / "sparse-csr").
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// The substrate this solver implements (never kAuto).
-  [[nodiscard]] virtual gca::SubstrateMode substrate() const = 0;
-
   /// Labels one graph.  Throws on failure (see class contract).
   [[nodiscard]] virtual QueryResult solve(const SolverInput& input,
                                           const RunOptions& options) const = 0;
@@ -146,65 +140,10 @@ class CcSolver {
                                        const RunOptions& options) const;
 };
 
-/// The auto-routing heuristic (DESIGN.md §12): the dense field sweeps
-/// n(n+1) cells per generation no matter how sparse the graph is, while
-/// the CSR engine sweeps 2m + n words — so dense only wins where the field
-/// is small and the matrix actually full.  Dense iff n <= 512 and
-/// m >= ceil(n^2 / 8) (density >= ~1/4); everything else routes to CSR.
-/// n = 0 is dense (trivially empty either way).  The density test is
-/// evaluated in the divided form — never as `8 * m` — so an edge count
-/// near SIZE_MAX (dense multigraphs, adversarial inputs) cannot wrap and
-/// flip the routing.
-[[nodiscard]] gca::SubstrateMode auto_substrate(graph::NodeId n,
-                                                std::size_t m);
-
-/// Thread-aware routing: a query that sweeps with `threads` lanes runs the
-/// CSR substrate's concurrent CAS-min path, whose solve time divides by
-/// roughly the effective parallelism 1 + (threads - 1) / 2 (half-efficient
-/// scaling — the conservative end of the measured speedups, DESIGN.md
-/// §14).  The dense-wins window shrinks by that factor: dense iff
-/// n <= 512 and m >= p * ceil(n^2 / 8).  `threads = 1` is exactly the
-/// two-argument heuristic.
-[[nodiscard]] gca::SubstrateMode auto_substrate(graph::NodeId n,
-                                                std::size_t m,
-                                                unsigned threads);
-
-/// Resolves a requested mode against a concrete query: kAuto applies
-/// `auto_substrate(n, m)`, anything else is returned unchanged.
-[[nodiscard]] gca::SubstrateMode resolve_substrate(gca::SubstrateMode requested,
-                                                   graph::NodeId n,
-                                                   std::size_t m);
-
-/// Thread-aware resolve: kAuto applies `auto_substrate(n, m, threads)`.
-[[nodiscard]] gca::SubstrateMode resolve_substrate(gca::SubstrateMode requested,
-                                                   graph::NodeId n,
-                                                   std::size_t m,
-                                                   unsigned threads);
-
-/// True when the options carry hooks only the dense machine implements —
-/// `HirschbergGca`-typed fault callbacks (before_step / after_step /
-/// detect / final_check / on_restore), per-step StepRecord callbacks, and
-/// access-edge recording.  Auto-routing (`core::Runner`) pins such queries
-/// to the dense reference regardless of size, because silently dropping a
-/// fault monitor is not an optimisation.  An *explicitly* requested
-/// sparse_csr substrate still wins; the hooks are then ignored as
-/// documented on `CcSolver`.
-///
-/// Routing rule since DESIGN.md §15: substrate-agnostic resilience options
-/// — `checkpoint_dir`, an enabled `recovery` policy, `certify`,
-/// `sparse_monitors`, `self_check` and the sparse round hooks — do NOT pin
-/// the dense machine.  Both substrates implement durable checkpoints
-/// (GCKP / GSKP), the detect→rollback→restart recovery ladder and result
-/// certificates, so a million-vertex query asking for fault tolerance
-/// routes by size like any other instead of landing on the O(n²) field.
-[[nodiscard]] bool requires_dense_machine(const RunOptions& options);
-
-/// The process-wide solver instances (stateless, thread-safe).
+/// The process-wide solver instances (stateless, thread-safe).  The dense
+/// one is defined in core/hirschberg_gca.cpp, so a binary that only runs
+/// the CSR engine never links the cell field.
 [[nodiscard]] const CcSolver& dense_cc_solver();
 [[nodiscard]] const CcSolver& sparse_cc_solver();
-
-/// Solver for a *resolved* substrate; kAuto throws ContractViolation (call
-/// `resolve_substrate` first — routing needs the query's n and m).
-[[nodiscard]] const CcSolver& cc_solver_for(gca::SubstrateMode substrate);
 
 }  // namespace gcalib::core

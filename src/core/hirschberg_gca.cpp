@@ -1,11 +1,14 @@
 #include "core/hirschberg_gca.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bits.hpp"
+#include "core/cc_solver.hpp"
 #include "core/schedule.hpp"
 #include "core/state_graph.hpp"
 #include "gca/kernels.hpp"
+#include "graph/certificate.hpp"
 #include "graph/labeling.hpp"
 
 namespace gcalib::core {
@@ -811,6 +814,59 @@ std::vector<NodeId> gca_components(const graph::Graph& g) {
   RunOptions options;
   options.instrument = false;
   return machine.run(options).labels;
+}
+
+namespace {
+
+/// The paper-faithful engine behind the CcSolver interface: one
+/// `HirschbergGca` machine per query.  Honours every RunOptions hook — this
+/// is the engine the fault-recovery ladder, durable checkpoints and access
+/// recording were built around.  Defined here rather than in cc_solver.cpp
+/// so that only binaries calling `dense_cc_solver()` link the field.
+class DenseFieldSolver final : public CcSolver {
+ public:
+  [[nodiscard]] const char* name() const override { return "dense-field"; }
+
+  [[nodiscard]] QueryResult solve(const SolverInput& input,
+                                  const RunOptions& options) const override {
+    QueryResult result;
+    if (input.node_count() == 0) return result;
+    HirschbergGca machine(input.dense());
+    RunResult run = machine.run(options);
+    result.components = graph::component_count(run.labels);
+    result.labels = std::move(run.labels);
+    result.generations = run.generations;
+    result.rollbacks = run.rollbacks;
+    result.restarts = run.restarts;
+    result.diagnoses = std::move(run.diagnoses);
+    result.resumed = run.resumed;
+    result.resume_round = run.resume_iteration;
+    result.sweeps.reserve(run.records.size());
+    for (StepRecord& record : run.records) {
+      result.sweeps.push_back(std::move(record.stats));
+    }
+    if (options.certify) {
+      // The field holds n^2 cells, so materialising the O(n + m) CSR view
+      // for the certificate is cheap next to the run itself.
+      const graph::CsrGraph& csr = input.csr();
+      graph::ForestCertificate certificate;
+      Status status = build_certificate(csr, result.labels, certificate);
+      if (status.ok()) {
+        status = verify_certificate(csr, result.labels, result.components,
+                                    certificate);
+      }
+      if (!status.ok()) throw ContractViolation(status.message);
+      result.certified = true;
+    }
+    return result;
+  }
+};
+
+}  // namespace
+
+const CcSolver& dense_cc_solver() {
+  static const DenseFieldSolver solver;
+  return solver;
 }
 
 }  // namespace gcalib::core

@@ -6,42 +6,11 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/cli.hpp"
 #include "core/hirschberg_gca.hpp"
 #include "gca/cancel.hpp"
 #include "gca/thread_pool.hpp"
 
 namespace gcalib::core {
-
-namespace {
-
-/// One routed solve: resolves the substrate against the query's size and
-/// hands the input to that solver (core/cc_solver.hpp).  A query carrying
-/// dense-only hooks (HirschbergGca-typed fault callbacks, per-step
-/// callbacks, access recording — typically planted by `configure_query`)
-/// pins auto-routing to the dense machine: dropping a monitor silently is
-/// not routing.  Substrate-agnostic resilience options (checkpoint_dir,
-/// recovery, certify, the sparse round hooks) route by size like any other
-/// query — both substrates implement them (DESIGN.md §15).
-QueryResult solve_query(const SolverInput& input,
-                        gca::SubstrateMode substrate,
-                        const RunOptions& run_options) {
-  if (input.node_count() == 0) return {};
-  gca::SubstrateMode requested = substrate;
-  if (requested == gca::SubstrateMode::kAuto &&
-      requires_dense_machine(run_options)) {
-    requested = gca::SubstrateMode::kDense;
-  }
-  // Thread-aware routing: with a parallel sweep the CSR substrate gets the
-  // concurrent CAS-min path, so its effective cost shrinks with the lane
-  // count and the dense window narrows accordingly.
-  const gca::SubstrateMode resolved =
-      resolve_substrate(requested, input.node_count(), input.edge_count(),
-                        run_options.threads);
-  return cc_solver_for(resolved).solve(input, run_options);
-}
-
-}  // namespace
 
 Runner::Runner(RunnerOptions options) : options_(std::move(options)) {
   GCALIB_EXPECTS_MSG(options_.threads >= 1, "runner: threads must be >= 1");
@@ -121,7 +90,7 @@ QueryOutcome Runner::attempt_query(const SolverInput& input, std::size_t index,
       run_options.deadline_ms = remaining;
     }
     try {
-      outcome.result = solve_query(input, options_.substrate, run_options);
+      outcome.result = sparse_cc_solver().solve(input, run_options);
       outcome.status = Status{};
       return stamp(outcome);
     } catch (const gca::DeadlineExceeded& e) {
@@ -176,8 +145,6 @@ RunOptions Runner::single_query_options() const {
   run_options.instrument = options_.instrument;
   run_options.threads = options_.threads;
   run_options.policy = options_.policy;
-  run_options.sweep = options_.sweep;
-  run_options.kernels = options_.kernels;
   run_options.sparse_mode = options_.sparse_mode;
   run_options.sink = options_.sink;
   run_options.deadline_ms = options_.deadline_ms;
@@ -199,17 +166,14 @@ std::vector<QueryOutcome> Runner::solve_batch(
                                 single_query_options());
     return outcomes;
   }
-  RunOptions run_options;
-  run_options.instrument = options_.instrument;
-  run_options.sweep = options_.sweep;
-  run_options.kernels = options_.kernels;
-  run_options.sparse_mode = options_.sparse_mode;
-  run_options.sink = options_.sink;  // thread-safe sink; lanes push concurrently
-  run_options.deadline_ms = options_.deadline_ms;
-  run_options.cancel = options_.cancel;
-  // Lanes parallelise across queries, so each query sweeps sequentially.
+  // Same options as a lone query (the sink is thread-safe; lanes push
+  // concurrently), except that lanes parallelise across queries, so each
+  // query sweeps sequentially, and that no checkpoint directory is shared:
+  // sibling queries would race on one artifact file.
+  RunOptions run_options = single_query_options();
   run_options.threads = 1;
   run_options.policy = gca::ExecutionPolicy::kSequential;
+  run_options.checkpoint_dir.clear();
 
   const unsigned lanes = static_cast<unsigned>(
       std::min<std::size_t>(options_.threads, graphs.size()));
@@ -233,27 +197,6 @@ std::vector<QueryOutcome> Runner::solve_batch(
   };
   pool_->run(lanes, lane);
   return outcomes;
-}
-
-RunnerOptions runner_options_from_flags(const cli::RunnerFlags& flags) {
-  // Route through the engine-options validator so a tool rejects exactly
-  // the combinations the engine would (one shared exit-2 surface).
-  const gca::EngineOptions engine = gca::options_from_flags(flags.engine);
-  GCALIB_EXPECTS_MSG(flags.retry_backoff_ms >= 0,
-                     "runner options: retry_backoff_ms must be >= 0");
-  RunnerOptions options;
-  options.threads = engine.threads;
-  options.policy = engine.policy;
-  options.sweep = engine.sweep;
-  options.substrate = engine.substrate;
-  options.kernels = engine.kernels;
-  options.sparse_mode = engine.sparse_mode;
-  options.instrument = engine.instrumentation;
-  options.deadline_ms = flags.engine.deadline_ms;
-  options.retries = flags.engine.retries;
-  options.retry_backoff_ms = flags.retry_backoff_ms;
-  options.checkpoint_dir = flags.engine.checkpoint_dir;
-  return options;
 }
 
 }  // namespace gcalib::core

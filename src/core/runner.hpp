@@ -8,15 +8,18 @@
 // ways:
 //
 //  * `solve(graph)` — one query, swept in parallel across the pool lanes
-//    (the right grain for a large field);
+//    (the right grain for a large graph);
 //  * `solve_batch(graphs)` — many queries pulled off a shared cursor by
 //    the pool lanes, each solved with a sequential sweep (the right grain
-//    for many small fields: no per-generation handshake at all, lanes stay
+//    for many small graphs: no per-generation handshake at all, lanes stay
 //    busy across query boundaries).
 //
-// Results always come back in input order, and every query is labelled by
-// the same Hirschberg machine the single-shot API uses, so a batch is
-// bit-compatible with n independent `gca_components` calls.
+// Results always come back in input order.  Every query runs on the CSR
+// engine (`sparse_cc_solver()`, DESIGN.md §12) — a dense `graph::Graph`
+// input is converted through `SolverInput::csr()` — and its labeling is the
+// canonical min-id labeling, bit-identical to n independent
+// `gca_components` calls on the paper's field.  The field itself is never
+// run here; callers that want it name `dense_cc_solver()`.
 //
 // Fault isolation (DESIGN.md §10): `solve_batch` confines every failure to
 // its own query.  Each query runs under the batch deadline and retry
@@ -47,10 +50,6 @@ class MetricsSink;
 class ThreadPool;
 }  // namespace gcalib::gca
 
-namespace gcalib::cli {
-struct RunnerFlags;  // common/cli.hpp
-}  // namespace gcalib::cli
-
 namespace gcalib::core {
 
 struct RunOptions;  // core/hirschberg_gca.hpp
@@ -61,24 +60,10 @@ struct RunnerOptions {
   /// Backend for the per-query sweep in `solve`; `solve_batch` uses the
   /// pool across queries whenever the policy is kPool and threads > 1.
   gca::ExecutionPolicy policy = gca::ExecutionPolicy::kPool;
-  /// Sweep strategy for every query: sparse sweeps only each generation's
-  /// active region, dense the whole field.  Bit-identical results either way.
-  gca::SweepMode sweep = gca::SweepMode::kSparse;
-  /// Substrate routing (DESIGN.md §12): which `CcSolver` a query runs on.
-  /// kAuto (the default) resolves per query from its node count and
-  /// density; dense and sparse_csr pin the paper field / CSR engine.
-  /// Labelings are bit-identical either way.
-  gca::SubstrateMode substrate = gca::SubstrateMode::kAuto;
-  /// Bulk-kernel variant for every query's dense fast path
-  /// (gca/kernel_registry.hpp): kAuto picks the best the host supports;
-  /// `scalar` pins the golden reference the SIMD tables are checked
-  /// against.  Labelings are bit-identical across variants.
-  gca::KernelVariant kernels = gca::KernelVariant::kAuto;
-  /// Generation-loop discipline for queries routed to the CSR substrate
-  /// (DESIGN.md §14): kSync pins the double-buffered reference, kAsync the
-  /// concurrent CAS-min path, kAuto (the default) picks async exactly when
-  /// the query sweeps in parallel.  The converged labeling is identical
-  /// either way.
+  /// Generation-loop discipline of the CSR engine (DESIGN.md §14): kSync
+  /// pins the double-buffered reference, kAsync the concurrent CAS-min
+  /// path, kAuto (the default) picks async exactly when the query sweeps
+  /// in parallel.  The converged labeling is identical either way.
   gca::SparseMode sparse_mode = gca::SparseMode::kAuto;
   bool instrument = false;  ///< collect per-step statistics per query
   /// Metrics sink shared by every query (non-owning; nullptr = no tracing).
@@ -108,17 +93,17 @@ struct RunnerOptions {
   gca::CancelToken* cancel = nullptr;
   /// Durable checkpoint directory for *single-query* solves (DESIGN.md
   /// §15): forwarded to RunOptions::checkpoint_dir, so the query writes
-  /// GCKP / GSKP artifacts and resumes across a crash.  Deliberately NOT
+  /// GSKP artifacts and resumes across a crash.  Deliberately NOT
   /// applied to multi-query batches — the queries would race on one
   /// artifact file; batch callers wanting durability assign per-query
   /// directories through `configure_query` (gcad does exactly this).
   std::string checkpoint_dir;
   /// Verify every result against a freshly built spanning-forest
-  /// certificate (RunOptions::certify; both substrates).
+  /// certificate (RunOptions::certify) — single queries and batches alike.
   bool certify = false;
   /// Per-attempt configuration hook: called with the query index before
   /// every attempt and may adjust that query's RunOptions (per-query
-  /// deadlines, fault-injection hooks for resilience tests, self checks).
+  /// deadlines, the sparse round hooks for fault injection, self checks).
   /// Runs on the solving lane — must be thread-safe across queries.
   std::function<void(std::size_t query, RunOptions& run)> configure_query;
 };
@@ -167,22 +152,13 @@ class Runner {
                                            std::size_t index,
                                            const RunOptions& base) const;
   /// RunOptions for a lone query: the full thread budget, policy and
-  /// sparse mode (a single query has the whole pool to itself).
+  /// sparse mode (a single query has the whole pool to itself).  Batch
+  /// options derive from these.
   [[nodiscard]] RunOptions single_query_options() const;
   [[nodiscard]] QueryResult unwrap(QueryOutcome outcome) const;
 
   RunnerOptions options_;
   std::shared_ptr<gca::ThreadPool> pool_;
 };
-
-/// Builds validated RunnerOptions from the shared CLI runner flags —
-/// engine flags (threads / policy / sweep / substrate / instrumentation /
-/// deadline / retries) plus the runner's --retry-backoff-ms.  Throws
-/// ContractViolation on inconsistent combinations, exactly like
-/// gca::options_from_flags (use with the tools' exit-2 validation).
-/// Sinks, cancel tokens and per-query hooks are not flag-expressible and
-/// stay default.
-[[nodiscard]] RunnerOptions runner_options_from_flags(
-    const cli::RunnerFlags& flags);
 
 }  // namespace gcalib::core

@@ -48,9 +48,6 @@ namespace gcalib::core {
 class SparseCcSolver final : public CcSolver {
  public:
   [[nodiscard]] const char* name() const override { return "sparse-csr"; }
-  [[nodiscard]] gca::SubstrateMode substrate() const override {
-    return gca::SubstrateMode::kSparseCsr;
-  }
 
   [[nodiscard]] QueryResult solve(const SolverInput& input,
                                   const RunOptions& options) const override;

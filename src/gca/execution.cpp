@@ -49,29 +49,6 @@ SweepMode parse_sweep_mode(const std::string& name) {
   return SweepMode::kSparse;
 }
 
-const char* to_string(SubstrateMode mode) {
-  switch (mode) {
-    case SubstrateMode::kDense:
-      return "dense";
-    case SubstrateMode::kSparseCsr:
-      return "sparse_csr";
-    case SubstrateMode::kAuto:
-      return "auto";
-  }
-  GCALIB_ASSERT_MSG(false, "unreachable substrate mode");
-  return "?";
-}
-
-SubstrateMode parse_substrate_mode(const std::string& name) {
-  if (name == "dense") return SubstrateMode::kDense;
-  if (name == "sparse_csr" || name == "csr") return SubstrateMode::kSparseCsr;
-  if (name == "auto") return SubstrateMode::kAuto;
-  GCALIB_EXPECTS_MSG(false,
-                     "unknown substrate '" + name +
-                         "' (expected dense | sparse_csr | auto)");
-  return SubstrateMode::kAuto;
-}
-
 const char* to_string(SparseMode mode) {
   switch (mode) {
     case SparseMode::kSync:
@@ -117,7 +94,6 @@ EngineOptions options_from_flags(const cli::EngineFlags& flags) {
           .with_instrumentation(flags.instrumentation)
           .with_record_access(flags.record_access)
           .with_sweep(parse_sweep_mode(flags.sweep))
-          .with_substrate(parse_substrate_mode(flags.substrate))
           .with_sparse_mode(parse_sparse_mode(flags.sparse_mode))
           .with_kernels(parse_kernel_variant(flags.kernels));
   options.validate();

@@ -65,32 +65,10 @@ enum class SweepMode {
 /// Inverse of `to_string`; throws ContractViolation on unknown names.
 [[nodiscard]] SweepMode parse_sweep_mode(const std::string& name);
 
-/// Which substrate a connected-components query runs on (DESIGN.md §12).
-///
-/// Orthogonal to `SweepMode`: the sweep mode selects dense vs active-region
-/// iteration *within* the paper's (n+1) x n cell field, while the substrate
-/// selects the field itself — the paper-faithful dense field
-/// (`core::DenseFieldSolver`) or the O(m)-work CSR label-propagation engine
-/// (`core::SparseCcSolver`).  `kAuto` routes per query by node count and
-/// density (`core::auto_substrate`).  The `Engine` template never reads
-/// this: it is routing metadata consumed by the solver layer and carried on
-/// `EngineOptions` so one validated options object configures either
-/// substrate.
-enum class SubstrateMode {
-  kDense,      ///< the paper's (n+1) x n cell field — golden reference
-  kSparseCsr,  ///< CSR label propagation, O(m) work per generation
-  kAuto,       ///< choose per query from n and density
-};
-
-/// Name of a substrate ("dense" / "sparse_csr" / "auto").
-[[nodiscard]] const char* to_string(SubstrateMode mode);
-
-/// Inverse of `to_string`; throws ContractViolation on unknown names.
-[[nodiscard]] SubstrateMode parse_substrate_mode(const std::string& name);
-
 /// How the CSR substrate's generation loop runs (DESIGN.md §14).
 ///
-/// Only consulted on the sparse_csr substrate; the dense field ignores it.
+/// Only consulted by the CSR engine (core::SparseCcSolver); the dense field
+/// ignores it.
 ///
 ///  * kSync — the double-buffered synchronous hook/jump sweep: every sweep
 ///    is a pure function of the previous label buffer, so the labeling and
@@ -209,12 +187,9 @@ struct EngineOptions {
   bool instrumentation = true;  ///< collect per-step congestion statistics
   bool record_access = false;   ///< record individual (reader, target) edges
   SweepMode sweep = SweepMode::kSparse;  ///< honour advertised active regions
-  /// Substrate routing metadata (see `SubstrateMode`): consumed by the
-  /// solver layer (core/cc_solver.hpp) to pick the engine a query runs on;
-  /// the `Engine` template itself ignores it.
-  SubstrateMode substrate = SubstrateMode::kAuto;
-  /// Generation-loop mode of the sparse_csr substrate (see `SparseMode`);
-  /// routing metadata like `substrate` — the `Engine` template ignores it.
+  /// Generation-loop mode of the CSR engine (see `SparseMode`); carried
+  /// here so one validated options object configures either engine — the
+  /// `Engine` template ignores it.
   SparseMode sparse_mode = SparseMode::kAuto;
   /// Which bulk-kernel table the dense fast path dispatches
   /// (gca/kernel_registry.hpp).  kAuto picks the best variant the host
@@ -247,10 +222,6 @@ struct EngineOptions {
     sweep = value;
     return *this;
   }
-  EngineOptions& with_substrate(SubstrateMode value) {
-    substrate = value;
-    return *this;
-  }
   EngineOptions& with_sparse_mode(SparseMode value) {
     sparse_mode = value;
     return *this;
@@ -270,8 +241,9 @@ struct EngineOptions {
 };
 
 /// Builds a *validated* EngineOptions from the shared CLI engine flags
-/// (common/cli.hpp carries the policy / sweep / substrate as their spelled
-/// names so common/ stays below gca/; this is the one conversion point).
+/// (common/cli.hpp carries the policy / sweep / sparse mode / kernels as
+/// their spelled names so common/ stays below gca/; this is the one
+/// conversion point).
 /// Throws ContractViolation on inconsistent combinations — e.g.
 /// `--record-access` with a parallel policy — so the tools can reject them
 /// at parse time (exit 2) instead of asserting mid-run.
@@ -280,7 +252,7 @@ struct EngineOptions {
 /// The exit-2 wrapper every tool shares: converts + validates the flags,
 /// printing `error: <diagnosis>` to stderr and exiting with status 2 on any
 /// inconsistent combination — so `gca_cc_tool`, `gcal_run`,
-/// `gca_resilient_cc` and `gcad` reject `--substrate marble` identically.
+/// `gca_resilient_cc` and `gcad` reject `--policy warp` identically.
 [[nodiscard]] EngineOptions options_from_flags_or_exit(
     const cli::EngineFlags& flags);
 

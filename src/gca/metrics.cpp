@@ -257,7 +257,6 @@ ServiceCountersSnapshot ServiceCounters::snapshot() const {
   s.failed = failed.load(std::memory_order_relaxed);
   s.recovered = recovered.load(std::memory_order_relaxed);
   s.batches = batches.load(std::memory_order_relaxed);
-  s.degraded_batches = degraded_batches.load(std::memory_order_relaxed);
   s.drained = drained.load(std::memory_order_relaxed);
   s.restored = restored.load(std::memory_order_relaxed);
   s.journal_writes = journal_writes.load(std::memory_order_relaxed);
@@ -281,7 +280,6 @@ constexpr std::pair<const char*, std::uint64_t ServiceCountersSnapshot::*>
         {"failed", &ServiceCountersSnapshot::failed},
         {"recovered", &ServiceCountersSnapshot::recovered},
         {"batches", &ServiceCountersSnapshot::batches},
-        {"degraded_batches", &ServiceCountersSnapshot::degraded_batches},
         {"drained", &ServiceCountersSnapshot::drained},
         {"restored", &ServiceCountersSnapshot::restored},
         {"journal_writes", &ServiceCountersSnapshot::journal_writes},

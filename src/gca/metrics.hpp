@@ -134,7 +134,6 @@ struct ServiceCountersSnapshot {
   std::uint64_t failed = 0;              ///< other terminal errors
   std::uint64_t recovered = 0;           ///< OK after >= 1 retry
   std::uint64_t batches = 0;             ///< solve_batch dispatches
-  std::uint64_t degraded_batches = 0;    ///< dispatched with degraded settings
   std::uint64_t drained = 0;             ///< queries finished during drain
   std::uint64_t restored = 0;            ///< re-enqueued from the journal
   std::uint64_t journal_writes = 0;      ///< journal rewrites performed
@@ -164,7 +163,6 @@ struct ServiceCounters {
   std::atomic<std::uint64_t> failed{0};
   std::atomic<std::uint64_t> recovered{0};
   std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> degraded_batches{0};
   std::atomic<std::uint64_t> drained{0};
   std::atomic<std::uint64_t> restored{0};
   std::atomic<std::uint64_t> journal_writes{0};

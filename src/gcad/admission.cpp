@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "core/cc_solver.hpp"
 #include "gcad/protocol.hpp"
 
 namespace gcalib::gcad {
@@ -95,15 +94,7 @@ AdmissionVerdict AdmissionController::admit(PendingQuery query,
     return verdict;
   }
 
-  // Price the query on the substrate it will actually run on: the model
-  // keeps separate calibrations per substrate (latency.hpp), so a stream
-  // of cheap sparse solves never miscalibrates dense admission.  The
-  // worker count doubles as the solver-thread budget a lone query can
-  // claim, so routing is thread-aware (core::auto_substrate overload).
-  const gca::SubstrateMode resolved = core::resolve_substrate(
-      config_.substrate, query.graph.node_count(), query.graph.edge_count(),
-      config_.workers);
-  query.est_ns = model_->estimate_ns(resolved, query.graph.node_count(),
+  query.est_ns = model_->estimate_ns(query.graph.node_count(),
                                      query.graph.edge_count());
   const std::int64_t est_wait_ms = backlog_wait_ms();
   const std::int64_t est_total_ms =

@@ -55,10 +55,6 @@ struct PendingQuery {
 struct AdmissionConfig {
   std::size_t queue_capacity = 256;  ///< bounded intake
   unsigned workers = 1;  ///< parallel solve lanes the wait estimate divides by
-  /// Substrate the server routes queries to (DESIGN.md §12).  Admission
-  /// resolves kAuto per query — estimates must price the engine the query
-  /// will actually run on, not a fixed worst case.
-  gca::SubstrateMode substrate = gca::SubstrateMode::kAuto;
   /// Escalation-ladder thresholds as queue-fill fractions.
   double elevated_fill = 0.50;
   double severe_fill = 0.75;
@@ -66,11 +62,12 @@ struct AdmissionConfig {
 };
 
 /// The escalation ladder (DESIGN.md §11).  Levels only govern *behaviour*
-/// (shedding and batch degradation); they carry no queue state themselves.
+/// (admission shedding); they carry no queue state themselves.  Every
+/// transition is announced on the reply stream.
 enum class OverloadLevel : unsigned {
-  kNormal = 0,    ///< full service: retries, self-checks, metrics
+  kNormal = 0,    ///< full service
   kElevated = 1,  ///< watch state: transitions logged, no behaviour change
-  kSevere = 2,    ///< degrade batches: no retries, no per-query self checks
+  kSevere = 2,    ///< watch state nearer full: transitions logged only
   kCritical = 3,  ///< admit only top-priority work
 };
 

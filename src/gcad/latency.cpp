@@ -3,20 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/assert.hpp"
-
 namespace gcalib::gcad {
 
-double LatencyModel::weight(gca::SubstrateMode substrate, std::uint32_t n,
-                            std::size_t m) {
+double LatencyModel::weight(std::uint32_t n, std::size_t m) {
   if (n == 0) return 1.0;
   const double logn = std::floor(std::log2(static_cast<double>(n))) + 1.0;
-  if (substrate == gca::SubstrateMode::kSparseCsr) {
-    // One hook sweep reads every arc (2m) and writes every vertex (n);
-    // O(log n) hook/jump sweeps to the fixpoint.
-    return (static_cast<double>(n) + 2.0 * static_cast<double>(m)) * logn;
-  }
-  return static_cast<double>(n) * static_cast<double>(n) * logn * logn;
+  // One hook sweep reads every arc (2m) and writes every vertex (n);
+  // O(log n) hook/jump sweeps to the fixpoint.
+  return (static_cast<double>(n) + 2.0 * static_cast<double>(m)) * logn;
 }
 
 unsigned LatencyModel::bucket_of(std::uint32_t n) {
@@ -28,52 +22,39 @@ unsigned LatencyModel::bucket_of(std::uint32_t n) {
   return bucket;
 }
 
-unsigned LatencyModel::slot_of(gca::SubstrateMode substrate) {
-  GCALIB_EXPECTS_MSG(substrate != gca::SubstrateMode::kAuto,
-                     "latency model: substrate must be resolved, not auto");
-  return substrate == gca::SubstrateMode::kSparseCsr ? 1u : 0u;
-}
-
-void LatencyModel::record(gca::SubstrateMode substrate, std::uint32_t n,
-                          std::size_t m, std::int64_t elapsed_ns) {
+void LatencyModel::record(std::uint32_t n, std::size_t m,
+                          std::int64_t elapsed_ns) {
   if (n == 0 || elapsed_ns < 0) return;
   const double observed = static_cast<double>(elapsed_ns);
-  const double per_weight = observed / weight(substrate, n, m);
+  const double per_weight = observed / weight(n, m);
   std::lock_guard<std::mutex> lock(mutex_);
-  Slot& slot = slots_[slot_of(substrate)];
-  Bucket& bucket = slot.buckets[bucket_of(n)];
+  Bucket& bucket = buckets_[bucket_of(n)];
   bucket.ewma_ns = bucket.samples == 0
                        ? observed
                        : (1.0 - kAlpha) * bucket.ewma_ns + kAlpha * observed;
   ++bucket.samples;
-  slot.ns_per_weight =
-      slot.samples == 0
-          ? per_weight
-          : (1.0 - kAlpha) * slot.ns_per_weight + kAlpha * per_weight;
-  ++slot.samples;
+  ns_per_weight_ = samples_ == 0
+                       ? per_weight
+                       : (1.0 - kAlpha) * ns_per_weight_ + kAlpha * per_weight;
   ++samples_;
 }
 
-std::int64_t LatencyModel::estimate_ns(gca::SubstrateMode substrate,
-                                       std::uint32_t n, std::size_t m) const {
+std::int64_t LatencyModel::estimate_ns(std::uint32_t n, std::size_t m) const {
   if (n == 0) return 0;
   std::lock_guard<std::mutex> lock(mutex_);
-  const Slot& slot = slots_[slot_of(substrate)];
-  const Bucket& bucket = slot.buckets[bucket_of(n)];
+  const Bucket& bucket = buckets_[bucket_of(n)];
   double estimate = 0.0;
   if (bucket.samples > 0) {
     estimate = bucket.ewma_ns;
-  } else if (slot.samples > 0) {
-    estimate = slot.ns_per_weight * weight(substrate, n, m);
+  } else if (samples_ > 0) {
+    estimate = ns_per_weight_ * weight(n, m);
   } else {
-    estimate = kColdNsPerWeight * weight(substrate, n, m);
-    if (substrate == gca::SubstrateMode::kSparseCsr) {
-      // Cold sparse queries run the parallel CAS-min path when the solver
-      // has lanes: assuming single-lane cost here over-sheds exactly the
-      // work the parallel path finishes in time.  Warm branches above are
-      // learned from observed (already-parallel) wall times.
-      estimate /= effective_parallelism(solver_threads_);
-    }
+    // Cold queries run the parallel CAS-min path when the solver has
+    // lanes: assuming single-lane cost here over-sheds exactly the work
+    // the parallel path finishes in time.  Warm branches above are learned
+    // from observed (already-parallel) wall times.
+    estimate = kColdNsPerWeight * weight(n, m) /
+               effective_parallelism(solver_threads_);
   }
   return static_cast<std::int64_t>(std::max(estimate, 1.0));
 }

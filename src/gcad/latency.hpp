@@ -4,19 +4,13 @@
 // admitted *now* actually runs, and how long will it take once it does?"
 // before the query executes.  The model keeps an exponentially weighted
 // moving average of observed per-query solve times in log2(n) buckets
-// (queries of similar field size cost similar work), plus a global
-// calibration of nanoseconds-per-work-unit so sizes never seen before
-// still get a sane estimate.
+// (queries of similar size cost similar work), plus a global calibration
+// of nanoseconds-per-work-unit so sizes never seen before still get a sane
+// estimate.
 //
-// Substrates cost differently, so the model is two-dimensional: every
-// bucket set and every calibration exists once per substrate
-// (DESIGN.md §12).  The dense paper field sweeps O(n^2) cells for
-// O(log n) generations over O(log n) iterations — work weight
-// n^2 * (log2 n + 1)^2; the CSR engine does O(n + m) work per sweep for
-// O(log n) sweeps — work weight (n + 2m) * (log2 n + 1).  Mixing the two
-// in one EWMA would let a burst of cheap sparse solves talk the model
-// into admitting dense queries it cannot finish, so they never share
-// state.
+// Every query runs on the CSR engine (DESIGN.md §12), which does O(n + m)
+// work per sweep for O(log n) sweeps, so the work weight of a query is
+// (n + 2m) * (log2 n + 1).
 //
 // Thread-safe: the intake thread reads estimates while worker lanes feed
 // observations back.
@@ -26,42 +20,28 @@
 #include <cstdint>
 #include <mutex>
 
-#include "gca/execution.hpp"
-
 namespace gcalib::gcad {
 
 class LatencyModel {
  public:
   /// Records one observed isolated-solve wall time for an n-node, m-edge
-  /// query solved on `substrate` (must be resolved: dense or sparse_csr,
-  /// never auto).
-  void record(gca::SubstrateMode substrate, std::uint32_t n, std::size_t m,
-              std::int64_t elapsed_ns);
-  /// Legacy dense-field entry point (m irrelevant to the dense weight).
-  void record(std::uint32_t n, std::int64_t elapsed_ns) {
-    record(gca::SubstrateMode::kDense, n, 0, elapsed_ns);
-  }
+  /// query.
+  void record(std::uint32_t n, std::size_t m, std::int64_t elapsed_ns);
 
-  /// Estimated solve time for an n-node, m-edge query on `substrate`: the
-  /// bucket EWMA when that (substrate, size class) has history, otherwise
-  /// that substrate's calibration scaled by its work weight, otherwise a
-  /// conservative cold-start constant.
-  [[nodiscard]] std::int64_t estimate_ns(gca::SubstrateMode substrate,
-                                         std::uint32_t n,
+  /// Estimated solve time for an n-node, m-edge query: the bucket EWMA
+  /// when that size class has history, otherwise the calibration scaled by
+  /// the work weight, otherwise a conservative cold-start constant.
+  [[nodiscard]] std::int64_t estimate_ns(std::uint32_t n,
                                          std::size_t m) const;
-  /// Legacy dense-field estimate.
-  [[nodiscard]] std::int64_t estimate_ns(std::uint32_t n) const {
-    return estimate_ns(gca::SubstrateMode::kDense, n, 0);
-  }
 
-  /// Total observations recorded across both substrates (tests, stats op).
+  /// Total observations recorded (tests, stats op).
   [[nodiscard]] std::uint64_t samples() const;
 
   /// Declares the solver-thread budget queries run with.  The parallel CSR
-  /// path (concurrent CAS-min labeling, DESIGN.md §14) divides sparse
-  /// solve time by roughly `effective_parallelism(threads)`, so *cold*
-  /// sparse estimates — sizes the model has never observed — are divided
-  /// by that factor instead of assuming single-lane cost; without this the
+  /// path (concurrent CAS-min labeling, DESIGN.md §14) divides solve time
+  /// by roughly `effective_parallelism(threads)`, so *cold* estimates —
+  /// when the model has never observed anything — are divided by that
+  /// factor instead of assuming single-lane cost; without this the
   /// admission controller over-sheds exactly the queries the parallel path
   /// would have finished in time.  Warm estimates (bucket EWMAs and the
   /// ns-per-weight calibration) are learned from observed wall times and
@@ -76,15 +56,9 @@ class LatencyModel {
     return threads <= 1 ? 1.0 : 1.0 + 0.5 * static_cast<double>(threads - 1);
   }
 
-  /// Work weight of an n-node, m-edge query on `substrate`:
-  /// dense n^2 * (log2 n + 1)^2 cell updates, sparse_csr
-  /// (n + 2m) * (log2 n + 1) label reads.
-  [[nodiscard]] static double weight(gca::SubstrateMode substrate,
-                                     std::uint32_t n, std::size_t m);
-  /// Legacy dense-field weight.
-  [[nodiscard]] static double weight(std::uint32_t n) {
-    return weight(gca::SubstrateMode::kDense, n, 0);
-  }
+  /// Work weight of an n-node, m-edge query: (n + 2m) * (log2 n + 1) label
+  /// reads.
+  [[nodiscard]] static double weight(std::uint32_t n, std::size_t m);
 
  private:
   static constexpr double kAlpha = 0.2;  ///< EWMA smoothing factor
@@ -93,25 +67,17 @@ class LatencyModel {
   /// eagerly, under-estimating admits work that then misses deadlines.
   static constexpr double kColdNsPerWeight = 30.0;
   static constexpr unsigned kBuckets = 16;  ///< log2 buckets up to n = 65535
-  static constexpr unsigned kSubstrates = 2;  ///< dense, sparse_csr
 
   struct Bucket {
     double ewma_ns = 0.0;
     std::uint64_t samples = 0;
   };
-  /// One substrate's whole history: size-class EWMAs plus the global
-  /// ns-per-work calibration for sizes that class has never seen.
-  struct Slot {
-    Bucket buckets[kBuckets];
-    double ns_per_weight = 0.0;
-    std::uint64_t samples = 0;
-  };
 
   [[nodiscard]] static unsigned bucket_of(std::uint32_t n);
-  [[nodiscard]] static unsigned slot_of(gca::SubstrateMode substrate);
 
   mutable std::mutex mutex_;
-  Slot slots_[kSubstrates];
+  Bucket buckets_[kBuckets];
+  double ns_per_weight_ = 0.0;  ///< calibration for unseen size classes
   std::uint64_t samples_ = 0;
   unsigned solver_threads_ = 1;
 };

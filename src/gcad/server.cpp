@@ -7,7 +7,6 @@
 
 #include "common/assert.hpp"
 #include "core/hirschberg_gca.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/sparse_fault.hpp"
 
 namespace gcalib::gcad {
@@ -29,12 +28,11 @@ Server::Server(ServerOptions options)
       admission_([&] {
         AdmissionConfig config = options_.admission;
         config.workers = std::max(1u, options_.threads);
-        config.substrate = options_.substrate;
         return config;
       }(), &model_) {
   GCALIB_EXPECTS_MSG(options_.threads >= 1, "gcad: threads must be >= 1");
-  // The admission estimator prices cold sparse queries against the
-  // parallel CAS-min path this many lanes buy (gcad/latency.hpp).
+  // The admission estimator prices cold queries against the parallel
+  // CAS-min path this many lanes buy (gcad/latency.hpp).
   model_.set_solver_threads(options_.threads);
   GCALIB_EXPECTS_MSG(options_.max_batch >= 1, "gcad: max_batch must be >= 1");
   GCALIB_EXPECTS_MSG(options_.fault_rate >= 0.0,
@@ -42,27 +40,18 @@ Server::Server(ServerOptions options)
   GCALIB_EXPECTS_MSG(options_.drain_timeout_ms >= 0,
                      "gcad: drain_timeout_ms must be >= 0");
 
-  core::RunnerOptions normal;
-  normal.threads = options_.threads;
-  normal.policy = options_.policy;
-  normal.sweep = options_.sweep;
-  normal.substrate = options_.substrate;
-  normal.instrument = false;
-  normal.sink = options_.sink;
-  normal.retries = options_.retries;
-  normal.retry_backoff_ms = options_.retry_backoff_ms;
-  normal.cancel = &hard_stop_;
-  normal.configure_query = [this](std::size_t index, core::RunOptions& run) {
+  core::RunnerOptions runner;
+  runner.threads = options_.threads;
+  runner.policy = options_.policy;
+  runner.instrument = false;
+  runner.sink = options_.sink;
+  runner.retries = options_.retries;
+  runner.retry_backoff_ms = options_.retry_backoff_ms;
+  runner.cancel = &hard_stop_;
+  runner.configure_query = [this](std::size_t index, core::RunOptions& run) {
     configure_query(index, run);
   };
-  core::RunnerOptions degraded = normal;
-  degraded.retries = 0;
-  degraded.retry_backoff_ms = 0;
-  degraded.sink = nullptr;
-  // Both tiers share the same process-wide pool (ThreadPool::shared), so
-  // switching tiers never tears down or respins threads.
-  runner_ = std::make_unique<core::Runner>(std::move(normal));
-  degraded_runner_ = std::make_unique<core::Runner>(std::move(degraded));
+  runner_ = std::make_unique<core::Runner>(std::move(runner));
 }
 
 Server::~Server() = default;
@@ -80,8 +69,8 @@ void Server::configure_query(std::size_t index, core::RunOptions& run) const {
   run.deadline_ms = ctx->deadlines_ms[index];
   if (!options_.checkpoint_dir.empty()) {
     // One subdirectory per query id: batch siblings solve concurrently and
-    // must never race on a shared artifact file.  Either substrate writes
-    // its own artifact (GCKP / GSKP) there and resumes from it on replay.
+    // must never race on a shared artifact file.  The solve writes its GSKP
+    // artifact there and resumes from it on replay.
     run.checkpoint_dir =
         options_.checkpoint_dir + "/q" + std::to_string(ctx->ids[index]);
   }
@@ -89,43 +78,25 @@ void Server::configure_query(std::size_t index, core::RunOptions& run) const {
     // Transient-fault soak mode: the first attempt of each query runs
     // under an injected fault plan with checking on, so corruption is
     // *detected* (never mislabelled); retries re-execute clean, which is
-    // exactly how transient upsets recover.  The injector targets the
-    // substrate the query will actually run on — the sparse round hooks
-    // do not pin routing (DESIGN.md §15), so the choice mirrors the
-    // Runner's own resolution.
+    // exactly how transient upsets recover.
     run.self_check = true;
     run.certify = true;
     const unsigned attempt =
         ctx->attempts[index].fetch_add(1, std::memory_order_relaxed) + 1;
     if (attempt == 1) {
-      const gca::SubstrateMode resolved = core::resolve_substrate(
-          options_.substrate, ctx->sizes[index], ctx->edges[index],
-          run.threads);
-      if (resolved == gca::SubstrateMode::kSparseCsr) {
-        auto injector = std::make_shared<fault::SparseInjector>(
-            fault::SparseFaultPlan::poisson(ctx->sizes[index],
-                                            options_.fault_rate,
-                                            ctx->fault_seeds[index]));
-        injector->install(run);  // chains hooks, forces sparse_monitors
-        // `install` captures the raw injector; parking the shared_ptr in
-        // a hook wrapper ties its lifetime to the RunOptions copy the run
-        // holds.
-        auto previous_after = run.sparse_after_round;
-        run.sparse_after_round =
-            [injector, previous_after](const core::SparseRoundContext& round) {
-              if (previous_after) previous_after(round);
-            };
-      } else {
-        auto injector = std::make_shared<fault::Injector>(
-            fault::FaultPlan::poisson(ctx->sizes[index], options_.fault_rate,
-                                      ctx->fault_seeds[index]));
-        injector->install(run);
-        auto previous_on_step = run.on_step;
-        run.on_step = [injector,
-                       previous_on_step](const core::StepRecord& record) {
-          if (previous_on_step) previous_on_step(record);
-        };
-      }
+      auto injector = std::make_shared<fault::SparseInjector>(
+          fault::SparseFaultPlan::poisson(ctx->sizes[index],
+                                          options_.fault_rate,
+                                          ctx->fault_seeds[index]));
+      injector->install(run);  // chains hooks, forces sparse_monitors
+      // `install` captures the raw injector; parking the shared_ptr in a
+      // hook wrapper ties its lifetime to the RunOptions copy the run
+      // holds.
+      auto previous_after = run.sparse_after_round;
+      run.sparse_after_round =
+          [injector, previous_after](const core::SparseRoundContext& round) {
+            if (previous_after) previous_after(round);
+          };
     }
   }
 }
@@ -403,7 +374,6 @@ void Server::dispatch_batch(std::vector<PendingQuery> batch) {
     ctx.deadlines_ms.push_back(remaining);
     ctx.ids.push_back(query.id);
     ctx.sizes.push_back(query.graph.node_count());
-    ctx.edges.push_back(query.graph.edge_count());
     ctx.fault_seeds.push_back(options_.fault_seed * 0x9E3779B97F4A7C15ull +
                               query.id);
     graphs.push_back(query.graph);
@@ -416,24 +386,10 @@ void Server::dispatch_batch(std::vector<PendingQuery> batch) {
       ctx.attempts[i].store(0, std::memory_order_relaxed);
     }
 
-    // Overload degradation: severe and critical pressure dispatch on the
-    // cheap tier (no retries, no metrics) — latency beats completeness
-    // exactly when the queue says so.
-    OverloadLevel level = OverloadLevel::kNormal;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      level = admission_.level();
-    }
-    const bool degraded = level >= OverloadLevel::kSevere;
     counters_.batches.fetch_add(1, std::memory_order_relaxed);
-    if (degraded) {
-      counters_.degraded_batches.fetch_add(1, std::memory_order_relaxed);
-    }
-    const core::Runner& runner = degraded ? *degraded_runner_ : *runner_;
-
     current_batch_.store(&ctx, std::memory_order_release);
     const std::vector<core::QueryOutcome> outcomes =
-        runner.solve_batch(graphs);
+        runner_->solve_batch(graphs);
     current_batch_.store(nullptr, std::memory_order_release);
 
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -457,13 +413,7 @@ void Server::dispatch_batch(std::vector<PendingQuery> batch) {
         if (outcome.recovered()) {
           counters_.recovered.fetch_add(1, std::memory_order_relaxed);
         }
-        // Thread-aware resolve, mirroring the admission pricing: the
-        // sample must land in the slot the query was priced against.
-        model_.record(core::resolve_substrate(options_.substrate,
-                                              query.graph.node_count(),
-                                              query.graph.edge_count(),
-                                              options_.threads),
-                      query.graph.node_count(), query.graph.edge_count(),
+        model_.record(query.graph.node_count(), query.graph.edge_count(),
                       outcome.elapsed_ns);
       } else if (outcome.status.code == StatusCode::kDeadlineExceeded) {
         counters_.expired.fetch_add(1, std::memory_order_relaxed);

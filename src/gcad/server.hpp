@@ -17,10 +17,12 @@
 //     live in the CRC-guarded journal (gcad/journal.hpp), which a
 //     restarted daemon replays before reading new input, so `kill -9`
 //     loses nothing that was ever acknowledged as accepted;
-//  4. overload degradation — the escalation ladder sheds lowest-priority
-//     work first (admission) and switches batches to a degraded tier (no
-//     retries, no metrics sink) under pressure; every level transition
-//     bumps the service counters and is announced on the reply stream.
+//  4. overload shedding — the escalation ladder sheds lowest-priority
+//     work first (admission); every level transition bumps the service
+//     counters and is announced on the reply stream.
+//
+// Every query runs on the CSR engine (DESIGN.md §12); the daemon does not
+// link the paper's `HirschbergGca` machine.
 //
 // Threading: the caller's thread runs intake (`serve` reads lines); one
 // worker thread dispatches batches; `Runner` fans each batch across the
@@ -51,12 +53,6 @@ namespace gcalib::gcad {
 struct ServerOptions {
   unsigned threads = 1;  ///< solve lanes (Runner pool width)
   gca::ExecutionPolicy policy = gca::ExecutionPolicy::kPool;
-  gca::SweepMode sweep = gca::SweepMode::kSparse;
-  /// Substrate routing (DESIGN.md §12) for every query the daemon solves;
-  /// kAuto resolves per query by size and density.  Admission estimates
-  /// and the latency model's learning are keyed by the same resolution,
-  /// so the crystal ball prices the engine each query actually runs on.
-  gca::SubstrateMode substrate = gca::SubstrateMode::kAuto;
   AdmissionConfig admission;  ///< `workers` is overridden with `threads`
   std::string journal_path;   ///< empty = no durability (accepted != durable)
   std::size_t max_batch = 16; ///< micro-batch ceiling
@@ -68,7 +64,7 @@ struct ServerOptions {
   double fault_rate = 0.0;
   std::uint64_t fault_seed = 1;
   /// Durable per-query checkpoints (DESIGN.md §15): each query writes its
-  /// GCKP / GSKP artifact under `<checkpoint_dir>/q<id>`, so a SIGKILL
+  /// GSKP artifact under `<checkpoint_dir>/q<id>`, so a SIGKILL
   /// mid-solve resumes the interrupted query mid-lattice on replay instead
   /// of from scratch.  Per-query subdirectories keep batch siblings from
   /// racing on one artifact file.  Empty = no durable solver state.
@@ -76,8 +72,7 @@ struct ServerOptions {
   /// Budget for the drain phase; work still queued when it expires stays
   /// in the journal for the next incarnation (checkpoint-not-finish).
   std::int64_t drain_timeout_ms = 30'000;
-  /// Per-step metrics sink for normal-tier batches (non-owning; the
-  /// degraded tier always runs sink-free).
+  /// Per-step metrics sink for every batch (non-owning; nullptr = none).
   gca::MetricsSink* sink = nullptr;
   bool announce_overload = true;  ///< emit {"event":"overload",...} lines
 };
@@ -114,7 +109,6 @@ class Server {
     std::vector<std::int64_t> deadlines_ms;  ///< remaining budget per query
     std::vector<std::uint64_t> ids;          ///< query ids (checkpoint dirs)
     std::vector<std::uint32_t> sizes;        ///< node counts (fault plans)
-    std::vector<std::size_t> edges;          ///< edge counts (substrate resolve)
     std::vector<std::uint64_t> fault_seeds;  ///< per-query injection seeds
     /// Attempt counter per query: transient faults strike the first
     /// attempt only, so a retry re-executes clean and recovers.
@@ -142,8 +136,7 @@ class Server {
   LatencyModel model_;
   gca::CancelToken hard_stop_;  ///< trips in-flight sweeps on drain timeout
 
-  std::unique_ptr<core::Runner> runner_;           ///< normal tier
-  std::unique_ptr<core::Runner> degraded_runner_;  ///< severe+ tier
+  std::unique_ptr<core::Runner> runner_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

@@ -1,15 +1,11 @@
-// Tests of the substrate-agnostic solver interface (core/cc_solver.hpp):
-// the auto-routing heuristic, the SolverInput lazy views, the try_solve
-// Status mapping, the Runner's throwing thin wrapper, and the Table-1
-// golden contract through the interface (the dense solver must report the
-// exact per-step statistics the concrete machine reports).
+// Tests of the solver interface (core/cc_solver.hpp): the SolverInput lazy
+// views, the try_solve Status mapping, the Runner's throwing thin wrapper,
+// and the Table-1 golden contract through the interface (the dense solver
+// must report the exact per-step statistics the concrete machine reports).
 #include "core/cc_solver.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,119 +30,9 @@ graph::Graph two_components() {
   return g;
 }
 
-TEST(AutoSubstrate, EmptyAndDenseSmallGraphsStayOnTheField) {
-  EXPECT_EQ(auto_substrate(0, 0), gca::SubstrateMode::kDense);
-  // n = 16, m = 32: 8m = 256 >= n^2 = 256 — dense enough for the field.
-  EXPECT_EQ(auto_substrate(16, 32), gca::SubstrateMode::kDense);
-  EXPECT_EQ(auto_substrate(512, 512 * 64), gca::SubstrateMode::kDense);
-}
-
-TEST(AutoSubstrate, SparseOrLargeGraphsRouteToCsr) {
-  // n = 16, m = 31: just under the density bar.
-  EXPECT_EQ(auto_substrate(16, 31), gca::SubstrateMode::kSparseCsr);
-  // Above the size bar, even a complete graph routes to CSR.
-  EXPECT_EQ(auto_substrate(513, 513 * 512 / 2), gca::SubstrateMode::kSparseCsr);
-  EXPECT_EQ(auto_substrate(1'000'000, 1'000'000),
-            gca::SubstrateMode::kSparseCsr);
-}
-
-TEST(AutoSubstrate, DensityBoundaryIsExactAtTheLargestDenseN) {
-  // n = 512 is the last field-eligible size; the density bar there is
-  // m >= ceil(512^2 / 8) = 32768.  One edge either side must flip the
-  // routing — the boundary the overflow-prone `8 * m` form also got right,
-  // pinned so the divided form cannot drift off by one.
-  EXPECT_EQ(auto_substrate(512, 32768), gca::SubstrateMode::kDense);
-  EXPECT_EQ(auto_substrate(512, 32767), gca::SubstrateMode::kSparseCsr);
-  // n = 511 (odd n^2 = 261121): ceil(261121 / 8) = 32641.
-  EXPECT_EQ(auto_substrate(511, 32641), gca::SubstrateMode::kDense);
-  EXPECT_EQ(auto_substrate(511, 32640), gca::SubstrateMode::kSparseCsr);
-  // One node past the size bar routes to CSR regardless of density.
-  EXPECT_EQ(auto_substrate(513, 32768), gca::SubstrateMode::kSparseCsr);
-}
-
-TEST(AutoSubstrate, HugeEdgeCountsDoNotOverflowTheDensityTest) {
-  // m near SIZE_MAX (a legal multigraph count) wrapped the pre-fix
-  // `8 * m >= n * n` comparison to a tiny number, misrouting the densest
-  // possible inputs to CSR.  The divided form must keep them on the field.
-  constexpr std::size_t huge = std::size_t{1} << 61;  // 8 * huge wraps to 0
-  EXPECT_EQ(auto_substrate(512, huge), gca::SubstrateMode::kDense);
-  EXPECT_EQ(auto_substrate(16, huge), gca::SubstrateMode::kDense);
-  EXPECT_EQ(auto_substrate(512, std::numeric_limits<std::size_t>::max()),
-            gca::SubstrateMode::kDense);
-  // The size bar still wins over any density.
-  EXPECT_EQ(auto_substrate(513, huge), gca::SubstrateMode::kSparseCsr);
-}
-
-TEST(AutoSubstrate, DenseOnlyHooksPinAutoRoutingToTheField) {
-  // A query carrying hooks only the dense machine implements must never be
-  // auto-routed to CSR — the Runner applies this via requires_dense_machine.
-  RunOptions plain;
-  EXPECT_FALSE(requires_dense_machine(plain));
-
-  RunOptions injected;
-  injected.before_step = [](HirschbergGca&, const StepId&) {};
-  EXPECT_TRUE(requires_dense_machine(injected));
-
-  // Substrate-agnostic resilience options do NOT pin the field: both
-  // substrates implement durable checkpoints, the recovery ladder and
-  // certificates (DESIGN.md §15), so these route by size like any query.
-  RunOptions checkpointed;
-  checkpointed.checkpoint_dir = "/tmp/anywhere";
-  EXPECT_FALSE(requires_dense_machine(checkpointed));
-
-  RunOptions recovering;
-  recovering.recovery.checkpoint_interval = 2;
-  EXPECT_FALSE(requires_dense_machine(recovering));
-
-  RunOptions certified;
-  certified.certify = true;
-  certified.sparse_monitors = true;
-  certified.sparse_before_round = [](const SparseRoundContext&) {};
-  EXPECT_FALSE(requires_dense_machine(certified));
-
-  RunOptions recording;
-  recording.record_access = true;
-  EXPECT_TRUE(requires_dense_machine(recording));
-
-  // End-to-end through the Runner: a sparse-by-size graph with a planted
-  // fault monitor still runs on the dense machine, so the monitor fires.
-  const graph::Graph g = graph::random_gnp(64, 0.02, 3);
-  ASSERT_EQ(auto_substrate(g.node_count(), g.edge_count()),
-            gca::SubstrateMode::kSparseCsr);
-  RunnerOptions options;
-  options.configure_query = [](std::size_t, RunOptions& run) {
-    run.final_check = [](const HirschbergGca&,
-                         const std::vector<graph::NodeId>&) {
-      return std::string("planted monitor must not be dropped by routing");
-    };
-  };
-  const QueryOutcome outcome = Runner(options).try_solve(g);
-  EXPECT_EQ(outcome.status.code, StatusCode::kFailedPrecondition);
-  EXPECT_NE(outcome.status.message.find("planted monitor"), std::string::npos);
-}
-
-TEST(AutoSubstrate, ResolvePassesExplicitModesThrough) {
-  EXPECT_EQ(resolve_substrate(gca::SubstrateMode::kDense, 1'000'000, 1),
-            gca::SubstrateMode::kDense);
-  EXPECT_EQ(resolve_substrate(gca::SubstrateMode::kSparseCsr, 4, 6),
-            gca::SubstrateMode::kSparseCsr);
-  EXPECT_EQ(resolve_substrate(gca::SubstrateMode::kAuto, 4, 6),
-            auto_substrate(4, 6));
-}
-
 TEST(CcSolverRegistry, SolversReportTheirSubstrate) {
-  EXPECT_EQ(dense_cc_solver().substrate(), gca::SubstrateMode::kDense);
-  EXPECT_EQ(sparse_cc_solver().substrate(), gca::SubstrateMode::kSparseCsr);
   EXPECT_STREQ(dense_cc_solver().name(), "dense-field");
   EXPECT_STREQ(sparse_cc_solver().name(), "sparse-csr");
-  EXPECT_EQ(&cc_solver_for(gca::SubstrateMode::kDense), &dense_cc_solver());
-  EXPECT_EQ(&cc_solver_for(gca::SubstrateMode::kSparseCsr),
-            &sparse_cc_solver());
-}
-
-TEST(CcSolverRegistry, AutoIsNotASolver) {
-  EXPECT_THROW((void)cc_solver_for(gca::SubstrateMode::kAuto),
-               ContractViolation);
 }
 
 TEST(SolverInput, LazyViewsMaterialiseTheMissingRepresentation) {
@@ -227,11 +113,9 @@ TEST(RunnerSolve, ThrowsTypedExceptionCarryingTheDiagnosis) {
 TEST(RunnerSolve, ThrowsContractViolationWithDiagnosisOnCorruptQuery) {
   const graph::Graph g = two_components();
   RunnerOptions options;
-  options.substrate = gca::SubstrateMode::kDense;
   options.configure_query = [](std::size_t, RunOptions& run) {
-    run.final_check = [](const HirschbergGca&,
-                         const std::vector<graph::NodeId>&) {
-      return std::string("planted corruption for the diagnosis test");
+    run.sparse_before_round = [](const SparseRoundContext&) {
+      throw ContractViolation("planted corruption for the diagnosis test");
     };
   };
   const Runner runner(options);
@@ -247,54 +131,11 @@ TEST(RunnerSolve, ThrowsContractViolationWithDiagnosisOnCorruptQuery) {
 TEST(RunnerSolve, RoutesCsrOverloadWithoutDenseMaterialisation) {
   const graph::CsrGraph csr = graph::CsrGraph::from_edges(
       5, {{0, 1}, {1, 2}, {3, 4}});
-  RunnerOptions options;
-  options.substrate = gca::SubstrateMode::kSparseCsr;
-  const Runner runner(options);
+  const Runner runner;
   const QueryResult result = runner.solve(csr);
   EXPECT_EQ(result.labels,
             (std::vector<graph::NodeId>{0, 0, 0, 3, 3}));
   EXPECT_EQ(result.components, 2u);
-}
-
-TEST(CcSolverRouting, MillionVertexResilientQueryRoutesSparse) {
-  // The §15 relaxation under regression guard: a million-vertex query
-  // carrying the full substrate-agnostic resilience surface — durable
-  // checkpoint directory, recovery ladder, certification, sparse round
-  // hooks — must route to the CSR engine.  Before PR 10, checkpoint_dir
-  // and recovery pinned the dense field, where a 1M-vertex query means a
-  // (n+1) x n field of ~10^12 cells; this test completing at all (let
-  // alone in milliseconds) is the point.
-  const graph::NodeId n = 1'000'000;
-  std::vector<graph::Edge> edges;
-  edges.reserve(n);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    edges.push_back({v, static_cast<graph::NodeId>((v + 1) % n)});
-  }
-  const graph::CsrGraph csr = graph::CsrGraph::from_edges(n, edges);
-  ASSERT_EQ(auto_substrate(n, csr.edge_count()),
-            gca::SubstrateMode::kSparseCsr);
-
-  auto rounds = std::make_shared<std::atomic<unsigned>>(0);
-  RunnerOptions options;
-  options.threads = 4;
-  options.certify = true;
-  options.checkpoint_dir = ::testing::TempDir() + "routing_1m_ckpt";
-  options.configure_query = [rounds](std::size_t, RunOptions& run) {
-    EXPECT_FALSE(requires_dense_machine(run));
-    run.recovery.checkpoint_interval = 8;
-    run.sparse_monitors = true;
-    run.sparse_before_round = [rounds](const SparseRoundContext&) {
-      rounds->fetch_add(1, std::memory_order_relaxed);
-    };
-    EXPECT_FALSE(requires_dense_machine(run));
-  };
-  const QueryOutcome outcome = Runner(options).try_solve(csr);
-  ASSERT_EQ(outcome.status.code, StatusCode::kOk) << outcome.status.message;
-  EXPECT_EQ(outcome.result.components, 1u);
-  EXPECT_EQ(outcome.result.labels,
-            std::vector<graph::NodeId>(n, 0));  // one cycle, min id 0
-  EXPECT_TRUE(outcome.result.certified);
-  EXPECT_GE(rounds->load(), 1u);  // the sparse hooks actually ran
 }
 
 // The golden contract through the interface: solving on the dense substrate

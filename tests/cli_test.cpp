@@ -73,7 +73,6 @@ TEST(CliEngineFlags, Defaults) {
   const cli::EngineFlags exec = cli::engine_flags(parse_exec({}));
   EXPECT_EQ(exec.threads, 1u);
   EXPECT_EQ(exec.policy, "pool");
-  EXPECT_EQ(exec.substrate, "auto");
   EXPECT_TRUE(exec.instrumentation);
   EXPECT_FALSE(exec.record_access);
   EXPECT_TRUE(exec.trace_out.empty());
@@ -87,14 +86,12 @@ TEST(CliEngineFlags, Defaults) {
 TEST(CliEngineFlags, ParsesAllFlags) {
   const cli::EngineFlags exec = cli::engine_flags(
       parse_exec({"--threads", "8", "--policy", "spawn",
-                  "--substrate", "sparse_csr",
                   "--no-instrumentation", "--record-access", "--n", "4",
                   "--trace-out", "run.trace.json", "--metrics-out=m.csv",
                   "--deadline-ms", "250", "--checkpoint-dir", "/tmp/ckpt",
                   "--retries=2"}));
   EXPECT_EQ(exec.threads, 8u);
   EXPECT_EQ(exec.policy, "spawn");
-  EXPECT_EQ(exec.substrate, "sparse_csr");
   EXPECT_FALSE(exec.instrumentation);
   EXPECT_TRUE(exec.record_access);
   EXPECT_EQ(exec.trace_out, "run.trace.json");
@@ -135,24 +132,10 @@ TEST(CliEngineFlags, SpecKeepsToolOptions) {
   EXPECT_EQ(args.get_int("n", 0), 12);
 }
 
-TEST(CliEngineFlags, SubstrateIsCarriedAsSpelledName) {
-  // common/ stays below gca/: the flag layer carries the spelling and the
-  // engine layer validates it, so an unknown substrate parses fine here.
-  const cli::EngineFlags exec =
-      cli::engine_flags(parse_exec({"--substrate", "marble"}));
-  EXPECT_EQ(exec.substrate, "marble");
-}
-
-TEST(CliEngineFlags, LegacyAliasesStillWork) {
-  // Pre-rename spellings (ExecutionFlags / with_execution_flags /
-  // execution_flags) must keep compiling for out-of-tree callers.
-  std::vector<const char*> argv = {"prog", "--threads", "3"};
-  const CliArgs args =
-      CliArgs::parse(static_cast<int>(argv.size()), argv.data(),
-                     cli::with_execution_flags({}));
-  const cli::ExecutionFlags exec = cli::execution_flags(args);
-  EXPECT_EQ(exec.threads, 3u);
-  EXPECT_EQ(exec.substrate, "auto");
+TEST(CliEngineFlags, SubstrateIsNotAnEngineFlag) {
+  // Production entry points run CSR only; gca_cc_tool declares its own
+  // --substrate.  The shared spec rejects it like any unknown option.
+  EXPECT_THROW((void)parse_exec({"--substrate", "dense"}), std::runtime_error);
 }
 
 CliArgs parse_runner(std::initializer_list<const char*> argv_tail) {
@@ -165,16 +148,15 @@ CliArgs parse_runner(std::initializer_list<const char*> argv_tail) {
 TEST(CliRunnerFlags, DefaultsIncludeEngineFlags) {
   const cli::RunnerFlags flags = cli::runner_flags(parse_runner({}));
   EXPECT_EQ(flags.engine.threads, 1u);
-  EXPECT_EQ(flags.engine.substrate, "auto");
   EXPECT_EQ(flags.retry_backoff_ms, 0);
 }
 
 TEST(CliRunnerFlags, ParsesBackoffAndEngineFlags) {
   const cli::RunnerFlags flags = cli::runner_flags(parse_runner(
-      {"--retry-backoff-ms", "40", "--threads", "2", "--substrate=dense"}));
+      {"--retry-backoff-ms", "40", "--threads", "2", "--policy=spawn"}));
   EXPECT_EQ(flags.retry_backoff_ms, 40);
   EXPECT_EQ(flags.engine.threads, 2u);
-  EXPECT_EQ(flags.engine.substrate, "dense");
+  EXPECT_EQ(flags.engine.policy, "spawn");
 }
 
 TEST(CliRunnerFlags, RejectsNegativeBackoff) {

@@ -5,6 +5,7 @@
 //   == Shiloach-Vishkin == union-find == BFS.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/hirschberg_gca.hpp"
@@ -31,23 +32,27 @@ void expect_all_agree(const Graph& g, const std::string& context) {
   EXPECT_EQ(core::gca_components(g), oracle) << context << " [gca]";
 }
 
-using FamilyParam = std::tuple<const char*, NodeId, std::uint64_t>;
+// The family is a std::string, not a const char*: gtest prints a pointer
+// parameter as its address, and the printed parameter becomes the ctest
+// name, which would then change on every build.
+using FamilyParam = std::tuple<std::string, NodeId, std::uint64_t>;
 
 class AllAlgorithmsAgree : public ::testing::TestWithParam<FamilyParam> {};
 
 TEST_P(AllAlgorithmsAgree, OnFamilyInstance) {
-  const auto [family, n, seed] = GetParam();
+  const auto& [family, n, seed] = GetParam();
   const Graph g = graph::make_named(family, n, seed);
-  expect_all_agree(g, std::string(family) + " n=" + std::to_string(n) +
+  expect_all_agree(g, family + " n=" + std::to_string(n) +
                           " seed=" + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Families, AllAlgorithmsAgree,
     ::testing::Combine(
-        ::testing::Values("gnp:0.02", "gnp:0.1", "gnp:0.5", "path", "cycle",
-                          "star", "complete", "tree", "empty", "cliques:3",
-                          "planted:4:0.25", "bipartite:3", "gnm:12"),
+        ::testing::Values<std::string>(
+            "gnp:0.02", "gnp:0.1", "gnp:0.5", "path", "cycle", "star",
+            "complete", "tree", "empty", "cliques:3", "planted:4:0.25",
+            "bipartite:3", "gnm:12"),
         ::testing::Values<NodeId>(6, 16, 23),
         ::testing::Values<std::uint64_t>(1, 7)));
 

@@ -189,7 +189,9 @@ TEST(GcadReply, RejectedDistinguishesShedAfterAccept) {
 TEST(GcadReply, EscapingSurvivesRoundTrip) {
   const std::string hostile = "a\"b\\c\nd\x01";
   Json doc;
-  ASSERT_TRUE(parse_json("\"" + json_escape(hostile) + "\"", doc).ok());
+  std::string quoted = "\"";
+  quoted.append(json_escape(hostile)).append("\"");
+  ASSERT_TRUE(parse_json(quoted, doc).ok());
   EXPECT_EQ(doc.string, hostile);
 }
 

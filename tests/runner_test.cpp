@@ -51,22 +51,26 @@ void expect_matches_baseline(const QueryResult& result, const Graph& g) {
   EXPECT_GT(result.generations, 0u);
 }
 
-/// A before_step hook that, at the given step, smashes the column-0 cell of
-/// row 0 with an out-of-range label.  The next pointer jump dereferences
-/// d * n, walks off the field and trips the read precondition — a
-/// detection-guaranteed ContractViolation on both the mediated and the
-/// bulk-kernel sweep path.
-void corrupt_at(RunOptions& run, const StepId& site) {
-  run.before_step = [site](HirschbergGca& machine, const StepId& step) {
-    if (step == site) {
-      Cell cell = machine.engine().state(0);
-      cell.d = kInfData - 1;
-      machine.engine().set_state(0, cell);
-    }
+/// A CSR round hook that, before the given round, smashes vertex 0's label
+/// with an out-of-range value.  The per-round lattice monitors switched on
+/// here run right after the hook and before the sweep dereferences the
+/// label — a detection-guaranteed ContractViolation.
+void corrupt_at(RunOptions& run, unsigned site) {
+  run.sparse_monitors = true;
+  run.sparse_before_round = [site](const SparseRoundContext& round) {
+    if (round.round == site) round.set(0, kInfData - 1);
   };
 }
 
-StepId corruption_site() { return StepId{0, Generation::kPointerJump, 0}; }
+/// A CSR round hook that stalls every round for `ms` — with a 1 ms budget,
+/// the deadline poll that follows the first round's sweep expires.
+void stall_rounds(RunOptions& run, int ms) {
+  run.sparse_before_round = [ms](const SparseRoundContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  };
+}
+
+unsigned corruption_site() { return 0; }
 
 TEST(Runner, SingleQueryMatchesBaseline) {
   const Graph g = graph::random_gnp(20, 0.15, 5);
@@ -180,9 +184,7 @@ TEST(Runner, TrySolveReportsDeadlineExceeded) {
   options.retries = 3;  // must NOT be consumed: the budget is already spent
   options.configure_query = [](std::size_t, RunOptions& run) {
     run.deadline_ms = 1;
-    run.before_step = [](HirschbergGca&, const StepId&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    };
+    stall_rounds(run, 3);
   };
   Runner runner(options);
   const QueryOutcome outcome = runner.try_solve(g);
@@ -244,9 +246,7 @@ TEST(Runner, BatchIsolatesCorruptAndExpiredQueries) {
     if (corrupt.count(q) != 0) corrupt_at(run, corruption_site());
     if (expired.count(q) != 0) {
       run.deadline_ms = 1;
-      run.before_step = [](HirschbergGca&, const StepId&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(3));
-      };
+      stall_rounds(run, 3);
     }
   };
   Runner runner(options);
@@ -319,7 +319,7 @@ TEST(Runner, ExhaustedBudgetSkipsTheAttemptEntirely) {
     run.deadline_ms = 10;
     // Instant retryable failure: the whole budget is then consumed by the
     // (clamped) backoff sleep, so the next attempt finds nothing left.
-    run.before_step = [](HirschbergGca&, const StepId&) {
+    run.sparse_before_round = [](const SparseRoundContext&) {
       throw std::runtime_error("injected transient failure");
     };
   };
@@ -329,6 +329,23 @@ TEST(Runner, ExhaustedBudgetSkipsTheAttemptEntirely) {
   EXPECT_NE(outcome.status.message.find("budget"), std::string::npos)
       << outcome.status.to_string();
   EXPECT_LT(outcome.attempts, 6u) << "an attempt ran with an exhausted budget";
+}
+
+TEST(Runner, BatchHonoursCertify) {
+  // "Verify every result" covers the multi-query batch path too, not just
+  // lone queries.
+  RunnerOptions options;
+  options.certify = true;
+  const std::vector<Graph> graphs = {graph::random_gnp(12, 0.3, 1),
+                                     graph::random_gnp(20, 0.1, 2)};
+  const std::vector<QueryOutcome> outcomes =
+      Runner(options).solve_batch(graphs);
+  ASSERT_EQ(outcomes.size(), graphs.size());
+  for (std::size_t q = 0; q < graphs.size(); ++q) {
+    ASSERT_TRUE(outcomes[q].ok()) << outcomes[q].status.to_string();
+    EXPECT_TRUE(outcomes[q].result.certified) << "query " << q;
+    expect_matches_baseline(outcomes[q].result, graphs[q]);
+  }
 }
 
 TEST(Runner, OutcomesCarryElapsedTime) {

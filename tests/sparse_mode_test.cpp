@@ -266,27 +266,6 @@ TEST(SparseAsyncCancel, MidRunCancellationIsHonouredOrHarmless) {
   }
 }
 
-TEST(SparseModeRouting, AutoSubstrateNarrowsTheDenseWindowWithThreads) {
-  // With 1 thread the 3-arg overload is the classic heuristic; with more
-  // threads the sparse path gets the concurrent labeling speedup, so a
-  // graph dense enough for the field at 1 thread can route sparse at 8.
-  const graph::NodeId n = 128;
-  const std::size_t quarter = (std::size_t{n} * n + 7) / 8;  // p = 1 boundary
-  EXPECT_EQ(auto_substrate(n, quarter, 1), gca::SubstrateMode::kDense);
-  EXPECT_EQ(auto_substrate(n, quarter, 8), gca::SubstrateMode::kSparseCsr);
-  // p = 1 + (8 - 1) / 2 = 4: four times the arcs wins dense back.
-  EXPECT_EQ(auto_substrate(n, 4 * quarter, 8), gca::SubstrateMode::kDense);
-  // The 2-arg form and threads = 1 must agree exactly.
-  for (const graph::NodeId size : {16u, 100u, 512u, 513u}) {
-    for (const std::size_t m : {std::size_t{0}, quarter, 4 * quarter}) {
-      EXPECT_EQ(auto_substrate(size, m), auto_substrate(size, m, 1))
-          << "n=" << size << " m=" << m;
-    }
-  }
-  // threads = 0 is treated as 1, not wrapped.
-  EXPECT_EQ(auto_substrate(n, quarter, 0), auto_substrate(n, quarter, 1));
-}
-
 TEST(SparseModeRouting, ColdSparseEstimatesScaleWithSolverThreads) {
   using gcad::LatencyModel;
   EXPECT_DOUBLE_EQ(LatencyModel::effective_parallelism(1), 1.0);
@@ -297,23 +276,17 @@ TEST(SparseModeRouting, ColdSparseEstimatesScaleWithSolverThreads) {
   parallel.set_solver_threads(8);
   const std::uint32_t n = 4096;
   const std::size_t m = 8192;
-  const std::int64_t cold_single =
-      single.estimate_ns(gca::SubstrateMode::kSparseCsr, n, m);
-  const std::int64_t cold_parallel =
-      parallel.estimate_ns(gca::SubstrateMode::kSparseCsr, n, m);
-  // Cold sparse estimates divide by the effective parallelism…
+  const std::int64_t cold_single = single.estimate_ns(n, m);
+  const std::int64_t cold_parallel = parallel.estimate_ns(n, m);
+  // Cold estimates divide by the effective parallelism…
   EXPECT_NEAR(static_cast<double>(cold_single) /
                   static_cast<double>(cold_parallel),
               LatencyModel::effective_parallelism(8), 0.01);
-  // …dense estimates do not (the field sweep is not on the CAS-min path)…
-  EXPECT_EQ(single.estimate_ns(gca::SubstrateMode::kDense, n, m),
-            parallel.estimate_ns(gca::SubstrateMode::kDense, n, m));
   // …and warm estimates are learned from observed (already-parallel) wall
   // times, so they are not scaled again.
-  single.record(gca::SubstrateMode::kSparseCsr, n, m, 5'000'000);
-  parallel.record(gca::SubstrateMode::kSparseCsr, n, m, 5'000'000);
-  EXPECT_EQ(single.estimate_ns(gca::SubstrateMode::kSparseCsr, n, m),
-            parallel.estimate_ns(gca::SubstrateMode::kSparseCsr, n, m));
+  single.record(n, m, 5'000'000);
+  parallel.record(n, m, 5'000'000);
+  EXPECT_EQ(single.estimate_ns(n, m), parallel.estimate_ns(n, m));
 }
 
 }  // namespace
