@@ -36,12 +36,13 @@ cmake --build "$BUILD_DIR" -j"$JOBS"
 
 # Fast-fail pass over the engine/observability/CLI/service surface first:
 # the observer re-entrancy, option-validation, metrics, IO-robustness,
-# checkpoint round-trip, cancellation and gcad admission/journal/protocol
-# tests are the ones most likely to trip a sanitizer, and they finish in
-# seconds.  (Skipped when the caller passes its own ctest selection.)
+# checkpoint round-trip, cancellation, graph and gcad admission/journal/
+# protocol/pipe tests (GcadPipe drives the real binary over pipes) are the
+# ones most likely to trip a sanitizer, and they finish in seconds.
+# (Skipped when the caller passes its own ctest selection.)
 if [ "$#" -eq 0 ]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" \
-    -R '^([A-Za-z]+/)?(Engine|Metrics|Trace|Cli|Io|ActiveRegion|SweepIdentity|Checkpoint|Cancel|Gcad|Status|Substrate|Sparse|CcSolver|CsrGraph|SolverInput|Runner|Kernel|BitPlane|Worklist|SparseFault|Certificate|Gskp|FuzzJournal)[A-Za-z]*\.'
+    -R '^([A-Za-z]+/)?(Engine|Metrics|Trace|Cli|Io|ActiveRegion|SweepIdentity|Checkpoint|Cancel|Gcad|Status|Substrate|Sparse|CcSolver|CsrGraph|Graph|SolverInput|Runner|Kernel|BitPlane|Worklist|SparseFault|Certificate|Gskp|FuzzJournal|FuzzRequest)[A-Za-z]*\.'
 fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" "$@"

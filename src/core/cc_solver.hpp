@@ -57,8 +57,9 @@ class SolverInput {
   [[nodiscard]] bool has_dense() const { return dense_ != nullptr; }
   [[nodiscard]] bool has_csr() const { return csr_ != nullptr; }
 
-  /// Dense view; materialised from the CSR on first use (O(n^2) memory —
-  /// only the dense reference solver asks for it).
+  /// Adjacency-list view; materialised from the CSR on first use
+  /// (O(n + m)).  Only the dense reference solver asks for it; its field
+  /// is what costs O(n^2).
   [[nodiscard]] const graph::Graph& dense() const;
 
   /// CSR view; materialised from the dense graph on first use (O(n + m)).

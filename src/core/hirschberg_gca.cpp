@@ -18,16 +18,15 @@ using graph::NodeId;
 
 namespace {
 
-/// Builds the initial cell field: adjacency bits in the square, zeros in
-/// the bottom row; d/p start at 0 (generation 0 overwrites d anyway).
+/// Builds the initial cell field: a zeroed field, then the 2m adjacency
+/// bits of the square set from the neighbour lists; d/p start at 0
+/// (generation 0 overwrites d anyway).
 std::vector<Cell> build_field(const graph::Graph& g) {
   const NodeId n = g.node_count();
   const gca::FieldGeometry geometry = gca::FieldGeometry::hirschberg(n);
   std::vector<Cell> cells(geometry.size());
   for (NodeId j = 0; j < n; ++j) {
-    for (NodeId i = 0; i < n; ++i) {
-      cells[geometry.index_of(j, i)].a = g.has_edge(j, i) ? 1 : 0;
-    }
+    for (const NodeId i : g.neighbors(j)) cells[geometry.index_of(j, i)].a = 1;
   }
   return cells;
 }

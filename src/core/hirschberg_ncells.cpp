@@ -28,6 +28,15 @@ NCellRunResult hirschberg_ncells(const graph::Graph& g, bool instrument) {
   NCellRunResult result;
   if (n == 0) return result;
 
+  // Each cell's adjacency row (its ROM), unpacked once from the neighbour
+  // lists so the step-2 scan probes A(i, k) in O(1).
+  std::vector<std::uint8_t> rom(std::size_t{n} * n, 0);
+  for (graph::NodeId i = 0; i < n; ++i) {
+    for (const graph::NodeId k : g.neighbors(i)) {
+      rom[std::size_t{i} * n + k] = 1;
+    }
+  }
+
   gca::Engine<NCell> engine(
       std::vector<NCell>(n),
       gca::EngineOptions{}.with_instrumentation(instrument));
@@ -83,9 +92,9 @@ NCellRunResult hirschberg_ncells(const graph::Graph& g, bool instrument) {
   for (unsigned iter = 0; iter < iterations; ++iter) {
     // Step 2: T(i) = min{C(k) : A(i,k)=1, C(k) != C(i)}.
     scan_min(
-        [&g](std::size_t i, const NCell& self, const NCell& other,
-             graph::NodeId k) -> std::uint32_t {
-          const bool adjacent = g.has_edge(static_cast<graph::NodeId>(i), k);
+        [&rom, n](std::size_t i, const NCell& self, const NCell& other,
+                  graph::NodeId k) -> std::uint32_t {
+          const bool adjacent = rom[i * n + k] != 0;
           return (adjacent && other.c != self.c) ? other.c : kInf;
         },
         "ncell.step2");

@@ -17,9 +17,7 @@ std::vector<TreeCell> build_field(const graph::Graph& g) {
   const gca::FieldGeometry geometry = gca::FieldGeometry::hirschberg(n);
   std::vector<TreeCell> cells(geometry.size());
   for (NodeId j = 0; j < n; ++j) {
-    for (NodeId i = 0; i < n; ++i) {
-      cells[geometry.index_of(j, i)].a = g.has_edge(j, i) ? 1 : 0;
-    }
+    for (const NodeId i : g.neighbors(j)) cells[geometry.index_of(j, i)].a = 1;
   }
   return cells;
 }

@@ -133,11 +133,22 @@ QueryOutcome Runner::attempt_query(const SolverInput& input, std::size_t index,
 }
 
 QueryOutcome Runner::try_solve(const graph::Graph& g) const {
-  return attempt_query(SolverInput(g), 0, single_query_options());
+  const SolverInput input(g);
+  return attempt_query(input, 0, lone_query_options(input));
 }
 
 QueryOutcome Runner::try_solve(const graph::CsrGraph& g) const {
-  return attempt_query(SolverInput(g), 0, single_query_options());
+  const SolverInput input(g);
+  return attempt_query(input, 0, lone_query_options(input));
+}
+
+RunOptions Runner::lone_query_options(const SolverInput& input) const {
+  RunOptions run_options = single_query_options();
+  if (input.node_count() + 2 * input.edge_count() < kMinParallelQueryWork) {
+    run_options.threads = 1;
+    run_options.policy = gca::ExecutionPolicy::kSequential;
+  }
+  return run_options;
 }
 
 RunOptions Runner::single_query_options() const {
@@ -159,11 +170,12 @@ std::vector<QueryOutcome> Runner::solve_batch(
   std::vector<QueryOutcome> outcomes(graphs.size());
   if (graphs.size() == 1) {
     // A one-query batch has no sibling queries to parallelise across —
-    // sequentialising it would leave every lane but one idle.  Give the
-    // lone query the full thread budget (and with it the async sparse
-    // path), exactly like the single-shot API.
-    outcomes[0] = attempt_query(SolverInput(graphs[0]), 0,
-                                single_query_options());
+    // sequentialising a large one would leave every lane but one idle.
+    // Treat it exactly like the single-shot API: the full thread budget
+    // (and with it the async sparse path) unless it is too small to pay
+    // for a parallel dispatch.
+    const SolverInput input(graphs[0]);
+    outcomes[0] = attempt_query(input, 0, lone_query_options(input));
     return outcomes;
   }
   // Same options as a lone query (the sink is thread-safe; lanes push

@@ -8,15 +8,16 @@
 // ways:
 //
 //  * `solve(graph)` — one query, swept in parallel across the pool lanes
-//    (the right grain for a large graph);
+//    (the right grain for a large graph; below kMinParallelQueryWork it
+//    runs on one lane);
 //  * `solve_batch(graphs)` — many queries pulled off a shared cursor by
 //    the pool lanes, each solved with a sequential sweep (the right grain
 //    for many small graphs: no per-generation handshake at all, lanes stay
 //    busy across query boundaries).
 //
 // Results always come back in input order.  Every query runs on the CSR
-// engine (`sparse_cc_solver()`, DESIGN.md §12) — a dense `graph::Graph`
-// input is converted through `SolverInput::csr()` — and its labeling is the
+// engine (`sparse_cc_solver()`, DESIGN.md §12) — a `graph::Graph` input
+// is converted through `SolverInput::csr()` — and its labeling is the
 // canonical min-id labeling, bit-identical to n independent
 // `gca_components` calls on the paper's field.  The field itself is never
 // run here; callers that want it name `dense_cc_solver()`.
@@ -108,6 +109,14 @@ struct RunnerOptions {
   std::function<void(std::size_t query, RunOptions& run)> configure_query;
 };
 
+/// Work n + 2m below which a lone query (`try_solve`, a one-query
+/// `solve_batch`) runs on one lane with the sequential policy, whatever
+/// `threads` says: a parallel dispatch costs more than it saves there.
+/// From the measured crossover of `try_solve`, 1 lane vs 2 (DESIGN.md
+/// §14): 1e5 on sparse G(n, 2n) and 2e5 on dense small-n graphs on one
+/// 4-vCPU host; the power of two between them.
+inline constexpr std::size_t kMinParallelQueryWork = std::size_t{1} << 17;
+
 // QueryResult / QueryOutcome live in core/cc_solver.hpp with the solver
 // interface; the Runner re-exports them through this include for its
 // callers (gcad, tools, tests).
@@ -129,8 +138,8 @@ class Runner {
   /// budget, gca::Cancelled for a tripped token, ContractViolation for
   /// everything else).  The diagnosis text is never silently discarded.
   [[nodiscard]] QueryResult solve(const graph::Graph& g) const;
-  /// CSR-native overload: a million-edge graph never has to materialise a
-  /// dense adjacency matrix to be labelled.
+  /// CSR-native overload: a million-edge graph never has to build per-node
+  /// lists to be labelled.
   [[nodiscard]] QueryResult solve(const graph::CsrGraph& g) const;
 
   /// Labels one graph with full fault isolation: never throws, applies
@@ -155,6 +164,9 @@ class Runner {
   /// sparse mode (a single query has the whole pool to itself).  Batch
   /// options derive from these.
   [[nodiscard]] RunOptions single_query_options() const;
+  /// `single_query_options`, on one sequential lane when the query's work
+  /// is below kMinParallelQueryWork.
+  [[nodiscard]] RunOptions lone_query_options(const SolverInput& input) const;
   [[nodiscard]] QueryResult unwrap(QueryOutcome outcome) const;
 
   RunnerOptions options_;

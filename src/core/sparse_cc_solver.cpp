@@ -1008,6 +1008,10 @@ QueryResult solve_resilient(const graph::CsrGraph& csr,
           std::to_string(rollbacks) + " rollbacks, " +
           std::to_string(restarts) + " restarts)";
       for (const std::string& d : diagnoses) joined += "\n  - " + d;
+      // The artifact may hold labels written after a corruption the
+      // monitors could not see; a retry that resumed from it would fail the
+      // same certificate.  Only Cancelled and DeadlineExceeded keep it.
+      if (!res.gskp_path.empty()) remove_checkpoint_file(res.gskp_path);
       throw ContractViolation(joined);
     }
   }

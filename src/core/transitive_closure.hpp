@@ -30,9 +30,9 @@
 
 namespace gcalib::core {
 
-/// Dense square Boolean matrix; unlike graph::AdjacencyMatrix this one is
-/// directed (no symmetry requirement) because transitive closure is a
-/// directed-graph problem.
+/// Dense square Boolean matrix; unlike an undirected `graph::Graph` this
+/// one is directed (no symmetry requirement) because transitive closure is
+/// a directed-graph problem.
 class BoolMatrix {
  public:
   BoolMatrix() = default;

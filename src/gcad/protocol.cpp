@@ -1,5 +1,6 @@
 #include "gcad/protocol.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -18,9 +19,29 @@ namespace {
 
 constexpr int kMaxDepth = 16;
 
+/// The top-level `edges` member of a request, read as u32 pairs with no
+/// DOM node per endpoint.  `member` indexes the empty-array placeholder the
+/// parser leaves in the document's object for it, so a later duplicate key
+/// still overrides it exactly as in the DOM.
+struct TypedEdges {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<graph::Edge> pairs;
+  std::size_t member = kNone;
+};
+
+/// One number literal, in both views (see Json).
+struct NumberToken {
+  double number = 0.0;
+  std::int64_t integer = 0;
+  bool is_integer = false;
+};
+
 class JsonParser {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  /// With `edges` set, the top-level object's "edges" members are read
+  /// into it by `edge_pairs` instead of into the document.
+  explicit JsonParser(std::string_view text, TypedEdges* edges = nullptr)
+      : text_(text), edges_(edges) {}
 
   Status parse(Json& out) {
     Status status = value(out, 0);
@@ -87,8 +108,13 @@ class JsonParser {
       skip_ws();
       if (!eat(':')) return fail("expected ':' after object key");
       Json member;
-      status = value(member, depth + 1);
-      if (!status.ok()) return status;
+      if (depth == 0 && edges_ != nullptr && key == "edges" && edge_pairs()) {
+        member.type = Json::Type::kArray;  // placeholder for the typed pairs
+        edges_->member = out.object.size();
+      } else {
+        status = value(member, depth + 1);
+        if (!status.ok()) return status;
+      }
       out.object.emplace_back(std::move(key), std::move(member));
       skip_ws();
       if (eat(',')) continue;
@@ -193,8 +219,64 @@ class JsonParser {
     return fail("bad literal");
   }
 
+  /// Reads an `[[u, v], ...]` array of u32 pairs into `edges_` with the
+  /// same whitespace and number primitives as `value`.  On any other shape
+  /// it rewinds and returns false, and the caller parses the value as a DOM
+  /// node: errors and unusual-but-valid inputs take the DOM's exact route,
+  /// so the accepted language and every diagnosis stay the DOM's.
+  bool edge_pairs() {
+    const std::size_t start = pos_;
+    std::vector<graph::Edge>& out = edges_->pairs;
+    out.clear();
+    const auto bail = [&] {
+      pos_ = start;
+      out.clear();
+      edges_->member = TypedEdges::kNone;
+      return false;
+    };
+    skip_ws();
+    if (!eat('[')) return bail();
+    skip_ws();
+    if (eat(']')) return true;
+    for (;;) {
+      skip_ws();
+      graph::Edge edge;
+      if (!eat('[') || !endpoint(edge.u)) return bail();
+      skip_ws();
+      if (!eat(',') || !endpoint(edge.v)) return bail();
+      skip_ws();
+      if (!eat(']')) return bail();
+      out.push_back(edge);
+      skip_ws();
+      if (eat(',')) continue;
+      if (eat(']')) return true;
+      return bail();
+    }
+  }
+
+  /// One pair element of `edge_pairs`: an integral literal in u32 range.
+  bool endpoint(graph::NodeId& out) {
+    skip_ws();
+    NumberToken token;
+    if (!number_token(token).ok() || !token.is_integer || token.integer < 0 ||
+        token.integer > std::numeric_limits<graph::NodeId>::max()) {
+      return false;
+    }
+    out = static_cast<graph::NodeId>(token.integer);
+    return true;
+  }
+
   Status number(Json& out) {
     out.type = Json::Type::kNumber;
+    NumberToken token;
+    Status status = number_token(token);
+    out.number = token.number;
+    out.integer = token.integer;
+    out.is_integer = token.is_integer;
+    return status;
+  }
+
+  Status number_token(NumberToken& out) {
     const std::size_t begin = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     bool integral = true;
@@ -237,6 +319,7 @@ class JsonParser {
   }
 
   std::string_view text_;
+  TypedEdges* edges_ = nullptr;
   std::size_t pos_ = 0;
 };
 
@@ -281,14 +364,17 @@ const char* to_string(Op op) {
   return "unknown";
 }
 
-Status parse_request(const std::string& line, Request& out) {
+Status parse_request(std::string_view line, Request& out) {
   if (line.size() > kMaxRequestBytes) {
     return invalid("line of " + std::to_string(line.size()) +
                    " bytes exceeds the " + std::to_string(kMaxRequestBytes) +
                    "-byte limit");
   }
+  // One pass: the small members land in the DOM, a well-formed "edges"
+  // array lands in `typed` as u32 pairs (DESIGN.md §11).
   Json doc;
-  Status status = parse_json(line, doc);
+  TypedEdges typed;
+  Status status = JsonParser(line, &typed).parse(doc);
   if (!status.ok()) return status;
   if (doc.type != Json::Type::kObject) {
     return invalid("a request must be a JSON object");
@@ -297,8 +383,10 @@ Status parse_request(const std::string& line, Request& out) {
   Request request;
   bool saw_id = false;
   std::uint32_t n = 0;
-  const Json* edges = nullptr;
-  for (const auto& [key, value] : doc.object) {
+  const Json* edges = nullptr;  ///< last "edges" member
+  bool edges_typed = false;     ///< ... and it is the typed one
+  for (std::size_t member = 0; member < doc.object.size(); ++member) {
+    const auto& [key, value] = doc.object[member];
     if (key == "id") {
       status = require_u64(value, "id", request.id);
       if (!status.ok()) return status;
@@ -327,6 +415,7 @@ Status parse_request(const std::string& line, Request& out) {
         return invalid("\"edges\" must be an array of [u, v] pairs");
       }
       edges = &value;
+      edges_typed = member == typed.member;
     } else if (key == "deadline_ms") {
       if (value.type != Json::Type::kNumber || !value.is_integer ||
           value.integer < 0) {
@@ -354,8 +443,28 @@ Status parse_request(const std::string& line, Request& out) {
   if (request.op == Op::kSolve) {
     if (!saw_id) return invalid("a solve request needs an \"id\"");
     if (n == 0) return invalid("a solve request needs \"n\"");
-    graph::Graph g(n);
-    if (edges != nullptr) {
+    // Range and self-loop checks wait for the whole object: "n" may follow
+    // "edges".
+    const auto check_pair = [n](std::uint64_t u, std::uint64_t v) {
+      if (u >= n || v >= n) {
+        return invalid("edge endpoint " + std::to_string(std::max(u, v)) +
+                       " is outside [0, " + std::to_string(n) + ")");
+      }
+      if (u == v) {
+        return invalid("self-loop at node " + std::to_string(u) +
+                       " is not representable");
+      }
+      return Status{};
+    };
+    std::vector<graph::Edge> pairs;
+    if (edges_typed) {
+      pairs = std::move(typed.pairs);
+      for (const graph::Edge& e : pairs) {
+        status = check_pair(e.u, e.v);
+        if (!status.ok()) return status;
+      }
+    } else if (edges != nullptr) {
+      pairs.reserve(edges->array.size());
       for (const Json& pair : edges->array) {
         if (pair.type != Json::Type::kArray || pair.array.size() != 2) {
           return invalid("each edge must be a [u, v] pair");
@@ -366,19 +475,13 @@ Status parse_request(const std::string& line, Request& out) {
         if (!status.ok()) return status;
         status = require_u64(pair.array[1], "edge endpoint", v);
         if (!status.ok()) return status;
-        if (u >= n || v >= n) {
-          return invalid("edge endpoint " + std::to_string(std::max(u, v)) +
-                         " is outside [0, " + std::to_string(n) + ")");
-        }
-        if (u == v) {
-          return invalid("self-loop at node " + std::to_string(u) +
-                         " is not representable");
-        }
-        g.add_edge(static_cast<graph::NodeId>(u),
-                   static_cast<graph::NodeId>(v));
+        status = check_pair(u, v);
+        if (!status.ok()) return status;
+        pairs.push_back(graph::Edge{static_cast<graph::NodeId>(u),
+                                    static_cast<graph::NodeId>(v)});
       }
     }
-    request.graph = std::move(g);
+    request.graph = graph::Graph::from_edges(n, pairs);
   } else if ((request.op == Op::kPing || request.op == Op::kStats) &&
              !saw_id) {
     return invalid(std::string("a ") + to_string(request.op) +

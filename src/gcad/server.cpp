@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
 
 #include "common/assert.hpp"
@@ -14,6 +16,13 @@ namespace gcalib::gcad {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+[[nodiscard]] Status oversized_line(std::size_t bytes) {
+  return Status::error(StatusCode::kInvalidArgument,
+                       "request: line of " + std::to_string(bytes) +
+                           " bytes exceeds the " +
+                           std::to_string(kMaxRequestBytes) + "-byte limit");
+}
 
 [[nodiscard]] std::int64_t ms_since(Clock::time_point instant) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
@@ -126,14 +135,14 @@ void Server::journal_rewrite_locked() {
   }
 }
 
-void Server::journal_add_locked(const PendingQuery& query) {
+void Server::journal_add_locked(PendingQuery query) {
   if (options_.journal_path.empty()) return;
   LiveEntry live;
   live.entry.id = query.id;
   live.entry.priority = query.priority;
   live.entry.deadline_ms = query.deadline_ms;
-  live.entry.client = query.client;
-  live.entry.graph = query.graph;
+  live.entry.client = std::move(query.client);
+  live.entry.graph = std::move(query.graph);
   live.admitted_at = query.admitted_at;
   journaled_.push_back(std::move(live));
   journal_rewrite_locked();
@@ -232,8 +241,10 @@ void Server::handle_solve(Request&& request) {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     const std::uint64_t id = query.id;
-    // Copy kept for the write-ahead journal entry (admit consumes `query`).
-    const PendingQuery journal_copy = query;
+    // Copy kept for the write-ahead journal entry (admit consumes `query`);
+    // without a journal there is nothing to keep.
+    std::optional<PendingQuery> journal_copy;
+    if (!options_.journal_path.empty()) journal_copy = query;
     AdmissionVerdict verdict = admission_.admit(std::move(query), draining_);
     std::vector<std::uint64_t> evicted_ids;
     for (PendingQuery& evicted : verdict.evicted) {
@@ -250,7 +261,9 @@ void Server::handle_solve(Request&& request) {
     if (verdict.status.ok()) {
       // Write-ahead: the journal holds the query *before* the accepted
       // ack leaves the process, so an ack always implies durability.
-      journal_add_locked(journal_copy);
+      if (journal_copy.has_value()) {
+        journal_add_locked(std::move(*journal_copy));
+      }
       counters_.accepted.fetch_add(1, std::memory_order_relaxed);
       replies.push_back(encode_accepted(id, verdict.est_wait_ms));
     } else {
@@ -273,14 +286,9 @@ void Server::handle_solve(Request&& request) {
   queue_cv_.notify_all();
 }
 
-bool Server::handle_line(const std::string& line, bool oversized) {
-  if (oversized) {
-    emit(encode_error(
-        std::nullopt,
-        Status::error(StatusCode::kInvalidArgument,
-                      "request: line of " + std::to_string(line.size()) +
-                          " bytes exceeds the " +
-                          std::to_string(kMaxRequestBytes) + "-byte limit")));
+bool Server::handle_line(std::string_view line) {
+  if (line.size() > kMaxRequestBytes) {
+    emit(encode_error(std::nullopt, oversized_line(line.size())));
     return true;
   }
   if (line.empty()) return true;  // blank lines are keep-alive noise
@@ -347,10 +355,11 @@ void Server::dispatch_batch(std::vector<PendingQuery> batch) {
   BatchContext ctx;
   std::vector<graph::Graph> graphs;
   std::vector<const PendingQuery*> running;
+  std::vector<std::size_t> edge_counts;  // taken before the graphs move
   std::vector<std::uint64_t> finished_ids;
   std::vector<std::string> replies;
 
-  for (const PendingQuery& query : batch) {
+  for (PendingQuery& query : batch) {
     std::int64_t remaining = 0;
     if (query.deadline_ms > 0) {
       remaining = query.deadline_ms - ms_since(query.admitted_at);
@@ -376,7 +385,8 @@ void Server::dispatch_batch(std::vector<PendingQuery> batch) {
     ctx.sizes.push_back(query.graph.node_count());
     ctx.fault_seeds.push_back(options_.fault_seed * 0x9E3779B97F4A7C15ull +
                               query.id);
-    graphs.push_back(query.graph);
+    edge_counts.push_back(query.graph.edge_count());
+    graphs.push_back(std::move(query.graph));
     running.push_back(&query);
   }
 
@@ -413,8 +423,7 @@ void Server::dispatch_batch(std::vector<PendingQuery> batch) {
         if (outcome.recovered()) {
           counters_.recovered.fetch_add(1, std::memory_order_relaxed);
         }
-        model_.record(query.graph.node_count(), query.graph.edge_count(),
-                      outcome.elapsed_ns);
+        model_.record(ctx.sizes[i], edge_counts[i], outcome.elapsed_ns);
       } else if (outcome.status.code == StatusCode::kDeadlineExceeded) {
         counters_.expired.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -481,9 +490,29 @@ int Server::serve(std::istream& in, std::ostream& out) {
   replay_journal();
   std::thread worker([this] { worker_loop(); });
 
-  std::string line;
-  while (!stop_.load(std::memory_order_acquire) && std::getline(in, line)) {
-    if (!handle_line(line, line.size() > kMaxRequestBytes)) break;
+  // Bounded framing: each line lands in one frame of kMaxRequestBytes + 2
+  // bytes, allocated once and never zero-filled.  A line that still fits
+  // the frame but exceeds the cap by one byte is caught by its length; a
+  // longer one fills the frame, and its tail is discarded up to the newline
+  // without being stored, so an overlong line costs one error reply and
+  // bounded memory.
+  constexpr std::size_t kFrameBytes = kMaxRequestBytes + 2;
+  const std::unique_ptr<char[]> frame(new char[kFrameBytes]);
+  while (!stop_.load(std::memory_order_acquire)) {
+    in.getline(frame.get(), static_cast<std::streamsize>(kFrameBytes));
+    std::size_t length = static_cast<std::size_t>(in.gcount());
+    if (in.bad() || (in.fail() && length == 0)) break;  // EOF or a dead stream
+    if (in.fail()) {
+      // The frame filled up before the newline.
+      in.clear();
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      length += static_cast<std::size_t>(in.gcount()) - (in.eof() ? 0 : 1);
+      emit(encode_error(std::nullopt, oversized_line(length)));
+    } else {
+      if (!in.eof()) --length;  // the newline was extracted, not stored
+      if (!handle_line(std::string_view(frame.get(), length))) break;
+    }
+    if (in.eof()) break;
   }
 
   // Drain: intake is over; let the worker finish the backlog within the

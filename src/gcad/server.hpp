@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -116,7 +117,7 @@ class Server {
   };
 
   /// Returns false when the line requested shutdown (ends the serve loop).
-  bool handle_line(const std::string& line, bool oversized);
+  bool handle_line(std::string_view line);
   void handle_solve(Request&& request);
   void worker_loop();
   void dispatch_batch(std::vector<PendingQuery> batch);
@@ -124,7 +125,7 @@ class Server {
   void configure_query(std::size_t index, core::RunOptions& run) const;
 
   /// Journal mutations — all under `queue_mutex_`.
-  void journal_add_locked(const PendingQuery& query);
+  void journal_add_locked(PendingQuery query);
   void journal_remove_locked(const std::vector<std::uint64_t>& ids);
   void journal_rewrite_locked();
   void replay_journal();

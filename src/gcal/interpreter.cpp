@@ -35,8 +35,8 @@ GcalRunResult Interpreter::run(const graph::Graph& g,
   const gca::FieldGeometry geometry = gca::FieldGeometry::hirschberg(n);
   std::vector<Cell> initial(geometry.size());
   for (graph::NodeId j = 0; j < n; ++j) {
-    for (graph::NodeId i = 0; i < n; ++i) {
-      initial[geometry.index_of(j, i)].a = g.has_edge(j, i) ? 1 : 0;
+    for (const graph::NodeId i : g.neighbors(j)) {
+      initial[geometry.index_of(j, i)].a = 1;
     }
   }
   gca::Engine<Cell> engine(std::move(initial), exec.with_hands(1));

@@ -1,12 +1,11 @@
 // Immutable CSR (compressed sparse row) adjacency — the sparse substrate.
 //
-// `Graph` keeps a dense n x n bit matrix in sync with its adjacency lists,
-// which is exactly what the paper's cell field wants but caps practical n
-// at a few thousand: a million-node graph would need 10^12 matrix bits
-// before a single sweep runs.  `CsrGraph` stores only the 2m directed arcs
-// in two flat arrays (offsets + neighbour ids), so building it and sweeping
-// it are both O(n + m) — the representation behind the O(m)-work label
-// propagation solver (core/sparse_cc_solver.hpp, DESIGN.md §12).
+// `Graph` keeps one heap-allocated, growable list per node, which suits
+// incremental construction but not bulk sweeps.  `CsrGraph` stores the 2m
+// directed arcs in two flat arrays (offsets + neighbour ids), so building
+// it and sweeping it are both O(n + m) with no per-node allocation — the
+// representation behind the O(m)-work label propagation solver
+// (core/sparse_cc_solver.hpp, DESIGN.md §12).
 //
 // The structure is immutable after construction: solvers double-buffer
 // labels *next to* it and never mutate the adjacency, which is what makes
@@ -29,11 +28,11 @@ class CsrGraph {
  public:
   CsrGraph() = default;
 
-  /// Builds the CSR view of an existing dense `Graph` (O(n + m)).
+  /// Builds the CSR view of an existing `Graph` (O(n + m)).
   [[nodiscard]] static CsrGraph from_graph(const Graph& g);
 
-  /// Builds directly from an edge list without ever materialising a dense
-  /// matrix — the only constructor that scales to millions of edges.
+  /// Builds directly from an edge list without per-node lists — the
+  /// constructor for millions of edges.
   /// Self-loops are dropped and duplicate edges collapsed, matching
   /// `Graph::from_edges` semantics.  Throws ContractViolation on an
   /// endpoint >= n.
@@ -80,8 +79,8 @@ class CsrGraph {
   [[nodiscard]] std::vector<NodeId> edge_balanced_boundaries(
       unsigned parts) const;
 
-  /// Materialises the dense `Graph` (O(n^2) memory — small graphs only;
-  /// round-trip helper for tests and the dense fallback path).
+  /// Materialises the adjacency-list `Graph` (O(n + m); round-trip helper
+  /// for tests and the paper machines' inputs).
   [[nodiscard]] Graph to_graph() const;
 
   /// Order-sensitive 64-bit digest of the adjacency structure (FNV-1a over

@@ -1,15 +1,22 @@
-// Undirected graph with both adjacency-list and adjacency-matrix views.
+// Undirected graph as sorted adjacency lists.
 //
-// The GCA/PRAM algorithms consume the dense matrix; sequential baselines and
-// generators prefer edge/neighbour iteration, so `Graph` keeps both in sync.
+// Memory is O(n + m) for every graph.  The paper's machines store one
+// adjacency bit per cell of their n x n square; each builds that field from
+// `neighbors()` itself (a zeroed square plus the 2m arcs), so the n^2 cost
+// is paid only where the paper's model asks for it.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "graph/adjacency_matrix.hpp"
+#include "common/assert.hpp"
 
 namespace gcalib::graph {
+
+/// Node index type.  The paper's cell registers hold node numbers of
+/// O(log n) bits; 32 bits comfortably covers every simulatable size.
+using NodeId = std::uint32_t;
 
 /// An undirected edge as an (ordered) node pair with u < v.
 struct Edge {
@@ -27,18 +34,17 @@ class Graph {
   /// Creates an edge-less graph over `n` nodes.
   explicit Graph(NodeId n);
 
-  /// Builds a graph from an edge list (duplicates are collapsed).
+  /// Builds a graph from an edge list in one bulk pass (degree count,
+  /// append, then sort and dedup each list): duplicates in either
+  /// orientation collapse.  A self-loop or an endpoint >= n throws
+  /// ContractViolation.
   static Graph from_edges(NodeId n, const std::vector<Edge>& edges);
-
-  /// Builds a graph from a dense matrix (must be symmetric, zero diagonal).
-  static Graph from_matrix(const AdjacencyMatrix& matrix);
 
   [[nodiscard]] NodeId node_count() const { return n_; }
   [[nodiscard]] std::size_t edge_count() const { return edges_; }
 
-  [[nodiscard]] bool has_edge(NodeId u, NodeId v) const {
-    return matrix_.at(u, v);
-  }
+  /// Binary search of u's sorted list: O(log deg(u)).
+  [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
   /// Inserts {u, v}; returns false if it was already present.
   bool add_edge(NodeId u, NodeId v);
@@ -57,20 +63,18 @@ class Graph {
   /// All edges, each once, sorted by (u, v) with u < v.
   [[nodiscard]] std::vector<Edge> edges() const;
 
-  /// Dense matrix view (the input format of the paper's algorithms).
-  [[nodiscard]] const AdjacencyMatrix& matrix() const { return matrix_; }
-
   /// Edge density m / (n choose 2); 0 for n < 2.
   [[nodiscard]] double density() const;
 
+  /// Same node count and same edge set (the lists are kept sorted, so
+  /// insertion order does not matter).
   friend bool operator==(const Graph& a, const Graph& b) {
-    return a.matrix_ == b.matrix_;
+    return a.n_ == b.n_ && a.adjacency_ == b.adjacency_;
   }
 
  private:
   NodeId n_ = 0;
   std::size_t edges_ = 0;
-  AdjacencyMatrix matrix_;
   std::vector<std::vector<NodeId>> adjacency_;
 };
 

@@ -141,11 +141,13 @@ Graph parse_matrix(const std::string& text) {
   }
   if (!current.empty()) rows.push_back(std::move(current));
   const std::size_t n = rows.size();
-  AdjacencyMatrix matrix(static_cast<NodeId>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rows[i].size() != n) {
+  for (const std::string& row : rows) {
+    if (row.size() != n) {
       throw std::runtime_error("matrix literal is not square");
     }
+  }
+  Graph g(static_cast<NodeId>(n));
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (rows[i][j] != '1') continue;
       if (i == j) {
@@ -154,19 +156,19 @@ Graph parse_matrix(const std::string& text) {
       if (rows[j][i] != '1') {
         throw std::runtime_error("matrix literal is not symmetric");
       }
-      matrix.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
+      if (i < j) g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
     }
   }
-  return Graph::from_matrix(matrix);
+  return g;
 }
 
 std::string format_matrix(const Graph& g) {
-  std::string out;
-  const NodeId n = g.node_count();
-  out.reserve((std::size_t{n} + 1) * n);
-  for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = 0; j < n; ++j) out.push_back(g.has_edge(i, j) && i != j ? '1' : '0');
-    out.push_back('\n');
+  const std::size_t n = g.node_count();
+  std::string out((n + 1) * n, '0');
+  for (std::size_t i = 0; i < n; ++i) {
+    char* row = out.data() + i * (n + 1);
+    for (const NodeId j : g.neighbors(static_cast<NodeId>(i))) row[j] = '1';
+    row[n] = '\n';
   }
   return out;
 }

@@ -114,10 +114,11 @@ HirschbergPramResult run_hirschberg_impl(const Graph& g, AccessMode mode,
   const ArrayRef c = machine.alloc("C", n);
   const ArrayRef t = machine.alloc("T", n);
 
-  // Load the adjacency matrix as host data.
+  // Load the adjacency matrix as host data: memory starts zeroed, so only
+  // the 2m arcs are stored.
   for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = 0; j < n; ++j) {
-      machine.store(a.at(std::size_t{i} * n + j), g.has_edge(i, j) ? 1 : 0);
+    for (const NodeId j : g.neighbors(i)) {
+      machine.store(a.at(std::size_t{i} * n + j), 1);
     }
   }
   // Ownership: processor (i,j) = i*n + j owns M(i,j); processor i owns C(i)

@@ -86,8 +86,8 @@ ShiloachVishkinPramResult run_shiloach_vishkin_pram(const Graph& g,
   const ArrayRef scratch = machine.alloc("scratch", n);
 
   for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = 0; j < n; ++j) {
-      machine.store(a.at(std::size_t{i} * n + j), g.has_edge(i, j) ? 1 : 0);
+    for (const NodeId j : g.neighbors(i)) {
+      machine.store(a.at(std::size_t{i} * n + j), 1);
     }
   }
 

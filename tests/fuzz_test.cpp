@@ -9,13 +9,19 @@
 // Failures print the reproducer (family, n, p, seed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/status.hpp"
 #include "core/checkpoint.hpp"
 #include "core/hirschberg_gca.hpp"
 #include "gcad/journal.hpp"
+#include "gcad/protocol.hpp"
 #include "core/hirschberg_ncells.hpp"
 #include "core/hirschberg_tree.hpp"
 #include "core/schedule.hpp"
@@ -295,6 +301,280 @@ TEST(FuzzJournal, ExtendedAndRepeatedBlobsRejected) {
   std::vector<gcad::JournalEntry> out;
   EXPECT_FALSE(gcad::parse_journal(pristine + '\0', out).ok());
   EXPECT_FALSE(gcad::parse_journal(pristine + pristine, out).ok());
+}
+
+// --- FuzzRequest: the one-pass request reader against the DOM ---------------
+
+/// The request semantics read entirely through `parse_json`'s DOM: the
+/// reference `parse_request` must match on accept/reject, on the diagnosis
+/// and on the resulting request.
+Status dom_request(const std::string& line, gcad::Request& out) {
+  using gcad::Json;
+  const auto invalid = [](const std::string& message) {
+    return Status::error(StatusCode::kInvalidArgument, "request: " + message);
+  };
+  const auto u64 = [&](const Json& value, const std::string& name,
+                       std::uint64_t& v) {
+    if (value.type != Json::Type::kNumber || !value.is_integer ||
+        value.integer < 0) {
+      return invalid("\"" + name + "\" must be a non-negative integer");
+    }
+    v = static_cast<std::uint64_t>(value.integer);
+    return Status{};
+  };
+  if (line.size() > gcad::kMaxRequestBytes) {
+    return invalid("line of " + std::to_string(line.size()) +
+                   " bytes exceeds the " +
+                   std::to_string(gcad::kMaxRequestBytes) + "-byte limit");
+  }
+  Json doc;
+  Status status = gcad::parse_json(line, doc);
+  if (!status.ok()) return status;
+  if (doc.type != Json::Type::kObject) {
+    return invalid("a request must be a JSON object");
+  }
+  gcad::Request request;
+  bool saw_id = false;
+  std::uint64_t n = 0;
+  const Json* edges = nullptr;
+  for (const auto& [key, value] : doc.object) {
+    if (key == "id") {
+      if (!(status = u64(value, "id", request.id)).ok()) return status;
+      saw_id = true;
+    } else if (key == "op") {
+      if (value.type != Json::Type::kString) {
+        return invalid("\"op\" must be a string");
+      }
+      const std::map<std::string, gcad::Op> ops = {
+          {"solve", gcad::Op::kSolve}, {"ping", gcad::Op::kPing},
+          {"stats", gcad::Op::kStats}, {"drain", gcad::Op::kDrain},
+          {"shutdown", gcad::Op::kShutdown}};
+      const auto op = ops.find(value.string);
+      if (op == ops.end()) {
+        return invalid("unknown op \"" + value.string + "\"");
+      }
+      request.op = op->second;
+    } else if (key == "n") {
+      if (!(status = u64(value, "n", n)).ok()) return status;
+      if (n == 0 || n > gcad::kMaxRequestNodes) {
+        return invalid("\"n\" must be in [1, " +
+                       std::to_string(gcad::kMaxRequestNodes) + "]");
+      }
+    } else if (key == "edges") {
+      if (value.type != Json::Type::kArray) {
+        return invalid("\"edges\" must be an array of [u, v] pairs");
+      }
+      edges = &value;
+    } else if (key == "deadline_ms") {
+      if (value.type != Json::Type::kNumber || !value.is_integer ||
+          value.integer < 0) {
+        return invalid("\"deadline_ms\" must be a non-negative integer");
+      }
+      request.deadline_ms = value.integer;
+    } else if (key == "priority") {
+      if (value.type != Json::Type::kNumber || !value.is_integer ||
+          value.integer < gcad::kMinPriority ||
+          value.integer > gcad::kMaxPriority) {
+        return invalid("\"priority\" must be an integer in [0, 3]");
+      }
+      request.priority = static_cast<int>(value.integer);
+    } else if (key == "client") {
+      if (value.type != Json::Type::kString || value.string.size() > 64) {
+        return invalid("\"client\" must be a string of at most 64 bytes");
+      }
+      request.client = value.string;
+    } else {
+      return invalid("unknown key \"" + key + "\"");
+    }
+  }
+  if (request.op == gcad::Op::kSolve) {
+    if (!saw_id) return invalid("a solve request needs an \"id\"");
+    if (n == 0) return invalid("a solve request needs \"n\"");
+    graph::Graph g(static_cast<graph::NodeId>(n));
+    for (const Json& pair : edges != nullptr ? edges->array
+                                             : std::vector<Json>{}) {
+      if (pair.type != Json::Type::kArray || pair.array.size() != 2) {
+        return invalid("each edge must be a [u, v] pair");
+      }
+      std::uint64_t u = 0;
+      std::uint64_t v = 0;
+      status = u64(pair.array[0], "edge endpoint", u);
+      if (!status.ok()) return status;
+      status = u64(pair.array[1], "edge endpoint", v);
+      if (!status.ok()) return status;
+      if (u >= n || v >= n) {
+        return invalid("edge endpoint " + std::to_string(std::max(u, v)) +
+                       " is outside [0, " + std::to_string(n) + ")");
+      }
+      if (u == v) {
+        return invalid("self-loop at node " + std::to_string(u) +
+                       " is not representable");
+      }
+      g.add_edge(static_cast<graph::NodeId>(u), static_cast<graph::NodeId>(v));
+    }
+    request.graph = std::move(g);
+  } else if ((request.op == gcad::Op::kPing ||
+              request.op == gcad::Op::kStats) &&
+             !saw_id) {
+    return invalid(std::string("a ") + gcad::to_string(request.op) +
+                   " request needs an \"id\"");
+  }
+  out = std::move(request);
+  return Status{};
+}
+
+/// A valid-looking solve line over a random small graph: members in random
+/// order, optional members sometimes present, and now and then a duplicated
+/// key, an endpoint equal to n or a self-loop.
+std::string random_solve_line(Xoshiro256& rng) {
+  const auto n = static_cast<std::uint32_t>(1 + rng.below(24));
+  const auto pairs = [&] {
+    std::string text = "[";
+    const std::size_t m = rng.below(3 * std::uint64_t{n} + 1);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::uint64_t u = rng.below(rng.below(40) == 0 ? n + 1 : n);
+      std::uint64_t v = rng.below(n);
+      if (v == u && rng.below(20) != 0) v = (v + 1) % n;
+      if (i != 0) text += ',';
+      text += '[' + std::to_string(u) + ',' + std::to_string(v) + ']';
+    }
+    return text + "]";
+  };
+  std::vector<std::string> members = {
+      "\"id\":" + std::to_string(rng.below(1000)), "\"op\":\"solve\"",
+      "\"n\":" + std::to_string(n), "\"edges\":" + pairs()};
+  if (rng.below(2) == 0) {
+    members.push_back("\"priority\":" + std::to_string(rng.below(4)));
+  }
+  if (rng.below(3) == 0) {
+    members.push_back("\"deadline_ms\":" + std::to_string(rng.below(500)));
+  }
+  if (rng.below(3) == 0) members.push_back("\"client\":\"c\\u0041\"");
+  if (rng.below(6) == 0) members.push_back("\"edges\":" + pairs());
+  if (rng.below(8) == 0) members.push_back(members[rng.below(members.size())]);
+  for (std::size_t i = members.size(); i > 1; --i) {
+    std::swap(members[i - 1], members[rng.below(i)]);
+  }
+  std::string line = "{";
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (i != 0) line += ',';
+    line += members[i];
+  }
+  return line + "}";
+}
+
+/// One seeded mutation: a byte flip, a truncation, inserted whitespace, or
+/// a number swapped for a literal at the edge of the accepted language.
+std::string mutate_line(std::string line, Xoshiro256& rng) {
+  static const char* const kNumbers[] = {
+      "-0", "01", "1e0", "1.0", "4294967296", "4294967295", "-1", "00",
+      "9223372036854775808", "2.", "-", "1e", "0x1"};
+  static const std::string kBytes = "[]{},:\"\\-+.eE0123456789 \t\r\nxu";
+  switch (rng.below(5)) {
+    case 0: {  // byte flip
+      const std::size_t flips = 1 + rng.below(3);
+      for (std::size_t f = 0; f < flips && !line.empty(); ++f) {
+        line[rng.below(line.size())] =
+            rng.below(4) == 0 ? static_cast<char>(rng() & 0xFF)
+                              : kBytes[rng.below(kBytes.size())];
+      }
+      return line;
+    }
+    case 1:  // truncation
+      return line.substr(0, rng.below(line.size() + 1));
+    case 2: {  // whitespace, anywhere (inside tokens too)
+      const std::size_t inserts = 1 + rng.below(6);
+      for (std::size_t i = 0; i < inserts; ++i) {
+        line.insert(rng.below(line.size() + 1), 1, " \t\r\n"[rng.below(4)]);
+      }
+      return line;
+    }
+    case 3: {  // a number swapped for an edge-of-language literal
+      std::vector<std::pair<std::size_t, std::size_t>> numbers;
+      for (std::size_t i = 0; i < line.size();) {
+        if (line[i] >= '0' && line[i] <= '9') {
+          std::size_t j = i;
+          while (j < line.size() && line[j] >= '0' && line[j] <= '9') ++j;
+          numbers.emplace_back(i, j - i);
+          i = j;
+        } else {
+          ++i;
+        }
+      }
+      if (numbers.empty()) return line;
+      const auto [at, length] = numbers[rng.below(numbers.size())];
+      return line.replace(at, length,
+                          kNumbers[rng.below(std::size(kNumbers))]);
+    }
+    default:
+      return line;  // unmutated
+  }
+}
+
+void expect_request_matches_dom(const std::string& line,
+                                const std::string& context) {
+  gcad::Request typed;
+  Status status;
+  ASSERT_NO_THROW(status = gcad::parse_request(line, typed)) << context;
+  EXPECT_TRUE(status.ok() || status.code == StatusCode::kInvalidArgument)
+      << context << ": " << status.to_string();
+  gcad::Request dom;
+  const Status reference = dom_request(line, dom);
+  ASSERT_EQ(status.ok(), reference.ok())
+      << context << "\n  line: " << line << "\n  typed: " << status.to_string()
+      << "\n  dom:   " << reference.to_string();
+  EXPECT_EQ(status.message, reference.message)
+      << context << "\n  line: " << line;
+  if (!status.ok()) return;
+  EXPECT_EQ(typed.op, dom.op) << context;
+  EXPECT_EQ(typed.id, dom.id) << context;
+  EXPECT_EQ(typed.priority, dom.priority) << context;
+  EXPECT_EQ(typed.deadline_ms, dom.deadline_ms) << context;
+  EXPECT_EQ(typed.client, dom.client) << context;
+  EXPECT_TRUE(typed.graph == dom.graph) << context << "\n  line: " << line;
+  EXPECT_EQ(typed.graph.edge_count(), dom.graph.edge_count()) << context;
+}
+
+TEST(FuzzRequest, SeededMutationsAgreeWithTheDom) {
+  Xoshiro256 rng(20261019);
+  std::size_t accepted = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const std::string line = mutate_line(random_solve_line(rng), rng);
+    expect_request_matches_dom(line, "round " + std::to_string(round));
+    gcad::Request request;
+    if (gcad::parse_request(line, request).ok()) ++accepted;
+  }
+  // Both sides of the language are exercised.
+  EXPECT_GT(accepted, 400u);
+  EXPECT_LT(accepted, 3600u);
+}
+
+TEST(FuzzRequest, EdgeOfLanguageNumbersAgreeWithTheDom) {
+  const char* const lines[] = {
+      R"({"id":1,"op":"solve","n":3,"edges":[[-0,1]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[01,2]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[1e0,2]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[1.0,2]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[4294967296,2]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,4294967295]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,9223372036854775808]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0, -1]]})",
+      R"({"edges":[[2,1]],"id":1,"op":"solve","n":3})",
+      R"({"edges":[[2,1]],"edges":[[0,1]],"id":1,"op":"solve","n":3})",
+      R"({"edges":[[0,1]],"edges":[[0,1.5]],"id":1,"op":"solve","n":3})",
+      R"({"edges":[[0,1.5]],"edges":[[0,1]],"id":1,"op":"solve","n":3})",
+      R"({"edges":[[0,7]],"id":1,"op":"solve","n":3,"n":9})",
+      R"({"id":1,"op":"ping","edges":[[0,99],[1,1],"x"]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[ [ 0 , 1 ] , [1,2] ] })",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,1],]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,1,2]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,1]] trailing)",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,1]]}})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[[0],1]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":{"0":1}})",
+      R"({"id":1,"op":"solve","n":3,"edges":[])",
+  };
+  for (const char* line : lines) expect_request_matches_dom(line, line);
 }
 
 TEST(FuzzBattery, BrentStepInflationIsExact) {

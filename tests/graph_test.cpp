@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
+#include "graph/io.hpp"
 
 namespace gcalib::graph {
 namespace {
@@ -20,9 +21,9 @@ TEST(Graph, AddEdgeUpdatesBothViews) {
   EXPECT_TRUE(g.add_edge(2, 0));
   EXPECT_TRUE(g.has_edge(0, 2));
   EXPECT_TRUE(g.has_edge(2, 0));
+  EXPECT_FALSE(g.has_edge(0, 1));
   EXPECT_EQ(g.neighbors(0), (std::vector<NodeId>{2}));
   EXPECT_EQ(g.neighbors(2), (std::vector<NodeId>{0}));
-  EXPECT_TRUE(g.matrix().at(0, 2));
 }
 
 TEST(Graph, DuplicateEdgeReturnsFalse) {
@@ -54,16 +55,68 @@ TEST(Graph, EdgesSortedAndUnique) {
 }
 
 TEST(Graph, FromEdgesCollapsesDuplicates) {
-  const Graph g = Graph::from_edges(3, {{0, 1}, {1, 0}, {1, 2}});
+  const Graph g = Graph::from_edges(3, {{0, 1}, {1, 0}, {1, 2}, {0, 1}});
   EXPECT_EQ(g.edge_count(), 2u);
+  EXPECT_EQ(g.neighbors(0), (std::vector<NodeId>{1}));
+  EXPECT_EQ(g.neighbors(1), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(g.neighbors(2), (std::vector<NodeId>{1}));
 }
 
 TEST(Graph, FromMatrixRoundTrip) {
+  // Graph -> matrix literal -> graph is the identity.
   Graph g(4);
   g.add_edge(0, 3);
   g.add_edge(1, 2);
-  const Graph h = Graph::from_matrix(g.matrix());
-  EXPECT_EQ(g, h);
+  EXPECT_EQ(parse_matrix(format_matrix(g)), g);
+}
+
+TEST(Graph, FromEdgesMatchesIncrementalInsertion) {
+  const std::vector<Edge> edges = {{4, 1}, {0, 3}, {1, 4}, {2, 0}, {3, 0},
+                                   {1, 2}, {4, 0}, {2, 1}};
+  Graph incremental(6);
+  for (const Edge& e : edges) incremental.add_edge(e.u, e.v);
+  const Graph bulk = Graph::from_edges(6, edges);
+  EXPECT_EQ(bulk, incremental);
+  EXPECT_EQ(bulk.edge_count(), incremental.edge_count());
+  EXPECT_EQ(bulk.edges(), incremental.edges());
+}
+
+TEST(Graph, FromEdgesRejectsSelfLoopsAndOutOfRangeEndpoints) {
+  EXPECT_THROW((void)Graph::from_edges(3, {{0, 1}, {2, 2}}), ContractViolation);
+  EXPECT_THROW((void)Graph::from_edges(3, {{0, 3}}), ContractViolation);
+  EXPECT_THROW((void)Graph::from_edges(3, {{7, 1}}), ContractViolation);
+  EXPECT_EQ(Graph::from_edges(0, {}).node_count(), 0u);
+}
+
+TEST(Graph, HasEdgeIsSymmetricAndChecksItsRange) {
+  const Graph g = Graph::from_edges(5, {{0, 4}, {1, 3}, {3, 4}});
+  for (NodeId u = 0; u < 5; ++u) {
+    for (NodeId v = 0; v < 5; ++v) {
+      EXPECT_EQ(g.has_edge(u, v), g.has_edge(v, u)) << u << "," << v;
+    }
+    EXPECT_FALSE(g.has_edge(u, u));
+  }
+  EXPECT_TRUE(g.has_edge(4, 0));
+  EXPECT_TRUE(g.has_edge(3, 1));
+  EXPECT_FALSE(g.has_edge(0, 1));
+  EXPECT_THROW((void)g.has_edge(5, 0), ContractViolation);
+  EXPECT_THROW((void)g.has_edge(0, 5), ContractViolation);
+}
+
+TEST(Graph, EqualityIgnoresInsertionOrder) {
+  Graph a(4);
+  a.add_edge(0, 1);
+  a.add_edge(2, 3);
+  a.add_edge(1, 3);
+  Graph b(4);
+  b.add_edge(3, 1);
+  b.add_edge(3, 2);
+  b.add_edge(1, 0);
+  EXPECT_EQ(a, b);
+  b.add_edge(0, 2);
+  EXPECT_NE(a, b);
+  EXPECT_NE(Graph(3), Graph(4));
+  EXPECT_EQ(Graph(3), Graph::from_edges(3, {}));
 }
 
 TEST(Graph, DensityOfCompleteGraphIsOne) {

@@ -7,18 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/hirschberg_gca.hpp"
+#include "fault/sparse_fault.hpp"
 #include "gca/cancel.hpp"
 #include "graph/cc_baselines.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/union_find.hpp"
 
 namespace gcalib::core {
 namespace {
@@ -346,6 +351,83 @@ TEST(Runner, BatchHonoursCertify) {
     EXPECT_TRUE(outcomes[q].result.certified) << "query " << q;
     expect_matches_baseline(outcomes[q].result, graphs[q]);
   }
+}
+
+TEST(Runner, RetryStartsFreshAfterACertificateOnlyCorruption) {
+  // Two paths, 0..9 and 10..19.  Attempt 1 pins vertex 15 to label 0: a
+  // lattice-legal value, so the per-round monitors pass, the GSKP artifact
+  // records the merged labels, and only the end-of-run certificate
+  // convicts the run.  The clean retry must not resume from that artifact.
+  std::vector<graph::Edge> edges;
+  for (NodeId v = 0; v + 1 < 20; ++v) {
+    if (v != 9) edges.push_back({v, v + 1});
+  }
+  const Graph g = Graph::from_edges(20, edges);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("runner_test_gskp_retry_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+
+  fault::SparseFaultPlan plan;
+  plan.add({.site = fault::SparseFaultSite::kStuckVertex,
+            .round = 0,
+            .vertex = 15,
+            .stuck_value = 0,
+            .stuck_rounds = 8});
+  fault::SparseInjector injector(plan);
+  std::atomic<unsigned> attempts{0};
+  RunnerOptions options;
+  options.retries = 1;
+  options.checkpoint_dir = dir.string();
+  options.configure_query = [&](std::size_t, RunOptions& run) {
+    // As gcad's fault soak: every attempt certifies, the first is injected.
+    run.certify = true;
+    run.self_check = true;
+    if (attempts.fetch_add(1) == 0) injector.install(run);
+  };
+  const QueryOutcome outcome = Runner(options).try_solve(g);
+  std::filesystem::remove_all(dir);
+
+  ASSERT_TRUE(outcome.ok()) << outcome.status.to_string();
+  EXPECT_EQ(outcome.attempts, 2u);
+  EXPECT_GT(injector.faults_fired(), 0u);
+  EXPECT_FALSE(outcome.result.resumed);
+  EXPECT_EQ(outcome.result.labels, graph::union_find_components(g));
+}
+
+TEST(Runner, SmallLoneQueryRunsOnOneLane) {
+  // Sweep labels show the path taken: "hook#" is the sequential sync
+  // reference, "cas-hook#" the parallel CAS-min path kAuto picks on more
+  // than one lane.
+  RunnerOptions options;
+  options.threads = 2;
+  options.instrument = true;
+  const Runner runner(options);
+  const auto first_sweep = [](const QueryOutcome& outcome) {
+    EXPECT_TRUE(outcome.ok()) << outcome.status.to_string();
+    return outcome.result.sweeps.empty() ? std::string()
+                                         : outcome.result.sweeps[0].label;
+  };
+  const auto path = [](NodeId n) {
+    std::vector<graph::Edge> edges;
+    for (NodeId v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1});
+    return graph::CsrGraph::from_edges(n, edges);
+  };
+
+  const graph::CsrGraph small = path(64);
+  EXPECT_EQ(first_sweep(runner.try_solve(small)).rfind("hook#", 0), 0u);
+  EXPECT_EQ(first_sweep(runner.solve_batch({small.to_graph()})[0])
+                .rfind("hook#", 0),
+            0u);
+
+  const NodeId big_n =
+      static_cast<NodeId>(kMinParallelQueryWork / 3 + 2);  // n + 2m >= limit
+  const graph::CsrGraph big = path(big_n);
+  ASSERT_GE(big.node_count() + 2 * big.edge_count(), kMinParallelQueryWork);
+  EXPECT_EQ(first_sweep(runner.try_solve(big)).rfind("cas-hook#", 0), 0u);
+  EXPECT_EQ(first_sweep(runner.solve_batch({big.to_graph()})[0])
+                .rfind("cas-hook#", 0),
+            0u);
 }
 
 TEST(Runner, OutcomesCarryElapsedTime) {
