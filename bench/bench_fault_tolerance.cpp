@@ -8,11 +8,11 @@
 //  3. recovery cost — extra generations re-executed by rollback/restart;
 //  4. NMR pricing — FPGA cost of 2/3/5-modular redundancy from the
 //     calibrated cost model, the masking alternative to rollback;
-//  5. sparse CSR resilience series (DESIGN.md §15) — per sparse mode, the
-//     fault-free price of each layer of the resilience surface (detached
-//     hooks, lattice monitors, certificate, rollback anchors) and the
-//     detection/recovery behaviour of every sparse fault site under the
-//     healing ladder.
+//  5. sparse CSR resilience series (DESIGN.md §15) — on the sync round
+//     loop, the fault-free price of each layer of the resilience surface
+//     (detached hooks, lattice monitors, certificate, rollback anchors)
+//     and the detection/recovery behaviour of every sparse fault site
+//     under the healing ladder.
 //
 // With --out, the dense overhead and the whole sparse series are also
 // written as JSON (scripts/bench_fault.sh wraps this and writes
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   // --- 5. sparse CSR resilience series (DESIGN.md §15) ------------------
   //
   // G(n, 2/n) is the round-rich family: its components have enough
-  // diameter that both sparse modes run ~10 hook/jump rounds, so per-round
+  // diameter that the sync loop runs ~10 hook/jump rounds, so per-round
   // resilience costs and mid-lattice fault strikes are both observable
   // (an n-cycle's monotone label chain collapses in one jump subloop).
   const auto sparse_n =
@@ -269,15 +269,14 @@ int main(int argc, char** argv) {
 
   using gcalib::core::SparseRoundContext;
   const auto sparse_best_ms =
-      [&](gcalib::gca::SparseMode mode,
-          const std::function<void(RunOptions&)>& configure) {
+      [&](const std::function<void(RunOptions&)>& configure) {
         double best = std::numeric_limits<double>::infinity();
         for (int r = -1; r < repeat; ++r) {  // r == -1 is the untimed warmup
           RunOptions options;
           options.instrument = false;
           options.threads = 4;
           options.policy = gcalib::gca::ExecutionPolicy::kPool;
-          options.sparse_mode = mode;
+          options.sparse_mode = gcalib::gca::SparseMode::kSync;
           configure(options);
           const auto start = std::chrono::steady_clock::now();
           const gcalib::core::QueryResult result =
@@ -312,43 +311,28 @@ int main(int argc, char** argv) {
          o.recovery.checkpoint_interval = 1;
        }},
   };
-  const struct {
-    const char* name;
-    gcalib::gca::SparseMode mode;
-  } sparse_modes[] = {{"sync", gcalib::gca::SparseMode::kSync},
-                      {"async", gcalib::gca::SparseMode::kAsync}};
-
-  gcalib::TextTable sparse_overhead({"mode", "configuration", "ms", "overhead"});
+  gcalib::TextTable sparse_overhead({"configuration", "ms", "overhead"});
   sparse_overhead.set_align(0, gcalib::Align::kLeft);
-  sparse_overhead.set_align(1, gcalib::Align::kLeft);
   json += "  \"sparse_n\": " + std::to_string(sparse_n) + ",\n";
   json += "  \"sparse_edges\": " + std::to_string(csr.edge_count()) + ",\n";
   json += "  \"sparse_overhead\": [";
-  bool first_row = true;
-  for (const auto& mode : sparse_modes) {
-    const double bare = sparse_best_ms(mode.mode, [](RunOptions&) {});
-    sparse_overhead.add_row(
-        {mode.name, "bare solve", gcalib::fixed(bare, 3), "-"});
-    if (!first_row) json += ",";
-    first_row = false;
-    json += "\n    {\"mode\": \"" + std::string(mode.name) +
-            "\", \"config\": \"bare solve\", \"ms\": " + std::to_string(bare) +
-            "}";
-    for (const auto& config : sparse_configs) {
-      const double ms = sparse_best_ms(mode.mode, config.apply);
-      const double percent = 100.0 * (ms - bare) / bare;
-      sparse_overhead.add_row({mode.name, config.name, gcalib::fixed(ms, 3),
-                               gcalib::fixed(percent, 1) + " %"});
-      json += ",\n    {\"mode\": \"" + std::string(mode.name) +
-              "\", \"config\": \"" + config.name +
-              "\", \"ms\": " + std::to_string(ms) +
-              ", \"overhead_pct\": " + std::to_string(percent) + "}";
-    }
+  const double bare = sparse_best_ms([](RunOptions&) {});
+  sparse_overhead.add_row({"bare solve", gcalib::fixed(bare, 3), "-"});
+  json += "\n    {\"config\": \"bare solve\", \"ms\": " +
+          std::to_string(bare) + "}";
+  for (const auto& config : sparse_configs) {
+    const double ms = sparse_best_ms(config.apply);
+    const double percent = 100.0 * (ms - bare) / bare;
+    sparse_overhead.add_row({config.name, gcalib::fixed(ms, 3),
+                             gcalib::fixed(percent, 1) + " %"});
+    json += ",\n    {\"config\": \"" + std::string(config.name) +
+            "\", \"ms\": " + std::to_string(ms) +
+            ", \"overhead_pct\": " + std::to_string(percent) + "}";
   }
   json += "\n  ],\n";
   std::fputs(sparse_overhead.render().c_str(), stdout);
   std::printf(
-      "\nEach layer is cumulative; \"bare solve\" is the PR-9 fast path the\n"
+      "\nEach layer is cumulative; \"bare solve\" is the sync round loop the\n"
       "perf_smoke resilience gate protects.\n");
 
   // Detection and recovery per sparse fault site, under the full healing
@@ -357,82 +341,75 @@ int main(int argc, char** argv) {
   std::printf("\nSparse fault sites under the healing ladder\n\n");
   using gcalib::fault::SparseFaultEvent;
   using gcalib::fault::SparseFaultSite;
-  const SparseFaultSite sparse_sites[] = {
-      SparseFaultSite::kLabelBitFlip, SparseFaultSite::kStuckVertex,
-      SparseFaultSite::kLostUpdate, SparseFaultSite::kStaleFrontier};
-  gcalib::TextTable sparse_faults({"mode", "site", "fired", "rollbacks",
-                                   "restarts", "outcome", "ms"});
+  const SparseFaultSite sparse_sites[] = {SparseFaultSite::kLabelBitFlip,
+                                          SparseFaultSite::kStuckVertex,
+                                          SparseFaultSite::kLostUpdate};
+  gcalib::TextTable sparse_faults(
+      {"site", "fired", "rollbacks", "restarts", "outcome", "ms"});
   sparse_faults.set_align(0, gcalib::Align::kLeft);
-  sparse_faults.set_align(1, gcalib::Align::kLeft);
-  sparse_faults.set_align(5, gcalib::Align::kLeft);
+  sparse_faults.set_align(4, gcalib::Align::kLeft);
   json += "  \"sparse_faults\": [";
-  first_row = true;
-  for (const auto& mode : sparse_modes) {
-    for (const SparseFaultSite site : sparse_sites) {
-      SparseFaultEvent event;
-      event.site = site;
-      event.round = 1;
-      event.vertex = sparse_n / 2;
-      event.mask = 1u << 20;          // raised bit: monitor-visible
-      event.stuck_value = 0;          // lattice-legal: certificate territory
-      event.stuck_rounds = 2;
-      gcalib::fault::SparseInjector injector(
-          gcalib::fault::SparseFaultPlan().add(event));
-      RunOptions options;
-      options.instrument = false;
-      options.threads = 4;
-      options.policy = gcalib::gca::ExecutionPolicy::kPool;
-      options.sparse_mode = mode.mode;
-      options.certify = true;
-      options.recovery.checkpoint_interval = 2;
-      options.recovery.max_rollbacks = 3;
-      options.recovery.max_restarts = 1;
-      injector.install(options);
-      std::string outcome;
-      unsigned rollbacks = 0;
-      unsigned restarts = 0;
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        const gcalib::core::QueryResult result =
-            gcalib::core::sparse_cc_solver().solve(
-                gcalib::core::SolverInput(csr), options);
-        rollbacks = result.rollbacks;
-        restarts = result.restarts;
-        if (result.labels != sparse_oracle) {
-          outcome = "SILENT WRONG ANSWER";  // must never appear
-        } else if (rollbacks > 0 || restarts > 0) {
-          outcome = "detected + healed";
-        } else if (injector.faults_fired() == 0) {
-          outcome = "never struck";
-        } else {
-          outcome = "self-healed";
-        }
-      } catch (const gcalib::ContractViolation&) {
-        outcome = "detected, unrecoverable";
+  bool first_row = true;
+  for (const SparseFaultSite site : sparse_sites) {
+    SparseFaultEvent event;
+    event.site = site;
+    event.round = 1;
+    event.vertex = sparse_n / 2;
+    event.mask = 1u << 20;          // raised bit: monitor-visible
+    event.stuck_value = 0;          // lattice-legal: certificate territory
+    event.stuck_rounds = 2;
+    gcalib::fault::SparseInjector injector(
+        gcalib::fault::SparseFaultPlan().add(event));
+    RunOptions options;
+    options.instrument = false;
+    options.threads = 4;
+    options.policy = gcalib::gca::ExecutionPolicy::kPool;
+    options.certify = true;
+    options.recovery.checkpoint_interval = 2;
+    options.recovery.max_rollbacks = 3;
+    options.recovery.max_restarts = 1;
+    injector.install(options);
+    std::string outcome;
+    unsigned rollbacks = 0;
+    unsigned restarts = 0;
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      const gcalib::core::QueryResult result =
+          gcalib::core::sparse_cc_solver().solve(
+              gcalib::core::SolverInput(csr), options);
+      rollbacks = result.rollbacks;
+      restarts = result.restarts;
+      if (result.labels != sparse_oracle) {
+        outcome = "SILENT WRONG ANSWER";  // must never appear
+      } else if (rollbacks > 0 || restarts > 0) {
+        outcome = "detected + healed";
+      } else if (injector.faults_fired() == 0) {
+        outcome = "never struck";
+      } else {
+        outcome = "self-healed";
       }
-      const double ms = seconds_since(start) * 1000.0;
-      sparse_faults.add_row({mode.name, gcalib::fault::to_string(site),
-                             std::to_string(injector.faults_fired()),
-                             std::to_string(rollbacks),
-                             std::to_string(restarts), outcome,
-                             gcalib::fixed(ms, 3)});
-      if (!first_row) json += ",";
-      first_row = false;
-      json += "\n    {\"mode\": \"" + std::string(mode.name) +
-              "\", \"site\": \"" + gcalib::fault::to_string(site) +
-              "\", \"fired\": " + std::to_string(injector.faults_fired()) +
-              ", \"rollbacks\": " + std::to_string(rollbacks) +
-              ", \"restarts\": " + std::to_string(restarts) +
-              ", \"outcome\": \"" + outcome +
-              "\", \"ms\": " + std::to_string(ms) + "}";
+    } catch (const gcalib::ContractViolation&) {
+      outcome = "detected, unrecoverable";
     }
+    const double ms = seconds_since(start) * 1000.0;
+    sparse_faults.add_row({gcalib::fault::to_string(site),
+                           std::to_string(injector.faults_fired()),
+                           std::to_string(rollbacks), std::to_string(restarts),
+                           outcome, gcalib::fixed(ms, 3)});
+    if (!first_row) json += ",";
+    first_row = false;
+    json += "\n    {\"site\": \"" + std::string(gcalib::fault::to_string(site)) +
+            "\", \"fired\": " + std::to_string(injector.faults_fired()) +
+            ", \"rollbacks\": " + std::to_string(rollbacks) +
+            ", \"restarts\": " + std::to_string(restarts) +
+            ", \"outcome\": \"" + outcome +
+            "\", \"ms\": " + std::to_string(ms) + "}";
   }
   json += "\n  ]\n}\n";
   std::fputs(sparse_faults.render().c_str(), stdout);
   std::printf(
       "\n\"self-healed\" = the lattice re-lowered the corruption without the\n"
-      "ladder; \"detected + healed\" = rollback/restart re-execution; a\n"
-      "stale frontier is a no-op in sync mode (there is no frontier).\n");
+      "ladder; \"detected + healed\" = rollback/restart re-execution.\n");
 
   if (!out_path.empty()) {
     std::ofstream out(out_path);

@@ -1,12 +1,12 @@
 // bench_substrate — dense field vs CSR engine across graph scales and
 // thread counts.
 //
-// Characterises the substrate redesign (DESIGN.md §12) and the concurrent
-// labeling path (DESIGN.md §14): for a ladder of random graphs from a few
-// hundred to a million edges, times the sparse CSR solver at every thread
-// count in the sweep (1 = the synchronous reference, >1 = the CAS-min
-// path) and — where an O(n^2) field is tractable — the dense paper machine
-// on the same input, and reports a machine-readable JSON series
+// Characterises the substrate redesign (DESIGN.md §12) and the CSR
+// engines (DESIGN.md §14): for a ladder of random graphs from a few
+// hundred to a million edges, times the sync hook + jump reference at
+// every thread count in the sweep, the production link pass (one lane),
+// and — where an O(n^2) field is tractable — the dense paper machine on
+// the same input, and reports a machine-readable JSON series
 // (scripts/bench_substrate.sh wraps this and writes BENCH_substrate.json).
 // Each rung carries a per-thread time series plus speedup-vs-sequential
 // columns; a null dense_ms always carries the explicit reason it was
@@ -65,9 +65,10 @@ graph::CsrGraph sample_graph(graph::NodeId n, std::size_t target_edges,
 
 double best_solve_ms(const core::CcSolver& solver,
                      const core::SolverInput& input, unsigned threads,
-                     int reps) {
+                     gca::SparseMode mode, int reps) {
   core::RunOptions options;
   options.instrument = false;
+  options.sparse_mode = mode;
   options.threads = threads;
   options.policy = threads > 1 ? gca::ExecutionPolicy::kPool
                                : gca::ExecutionPolicy::kSequential;
@@ -145,15 +146,18 @@ int main(int argc, char** argv) {
     const graph::CsrGraph csr = sample_graph(c.n, c.target_edges, seed);
     const core::SolverInput input(csr);
 
-    // Per-thread sparse series; threads = 1 is the synchronous reference
-    // every speedup column is measured against.
+    // Per-thread series of the sync reference; threads = 1 is what every
+    // speedup column is measured against.  The link pass runs on one lane.
+    constexpr auto kSync = gca::SparseMode::kSync;
     std::vector<double> sparse_ms(thread_sweep.size(), 0.0);
     double seq_ms = 0.0;
     for (std::size_t i = 0; i < thread_sweep.size(); ++i) {
-      sparse_ms[i] =
-          best_solve_ms(core::sparse_cc_solver(), input, thread_sweep[i], reps);
+      sparse_ms[i] = best_solve_ms(core::sparse_cc_solver(), input,
+                                   thread_sweep[i], kSync, reps);
       if (thread_sweep[i] == 1) seq_ms = sparse_ms[i];
     }
+    const double link_ms = best_solve_ms(core::sparse_cc_solver(), input, 1,
+                                         gca::SparseMode::kAuto, reps);
 
     double dense_ms = -1.0;
     std::string dense_skip_reason;
@@ -162,7 +166,7 @@ int main(int argc, char** argv) {
       // conversion happens outside the timed region.
       const graph::Graph dense_graph = csr.to_graph();
       dense_ms = best_solve_ms(core::dense_cc_solver(),
-                               core::SolverInput(dense_graph), 1, reps);
+                               core::SolverInput(dense_graph), 1, kSync, reps);
     } else {
       dense_skip_reason =
           "n = " + std::to_string(csr.node_count()) +
@@ -177,6 +181,7 @@ int main(int argc, char** argv) {
         std::printf(" (%.2fx)", seq_ms / sparse_ms[i]);
       }
     }
+    std::printf("  link %9.3f ms", link_ms);
     if (dense_ms >= 0.0) {
       std::printf("  dense %10.3f ms  (%.1fx)", dense_ms,
                   seq_ms > 0.0 ? dense_ms / seq_ms : 0.0);
@@ -206,7 +211,8 @@ int main(int argc, char** argv) {
       json += "\": ";
       json += std::to_string(sparse_ms[i] > 0.0 ? seq_ms / sparse_ms[i] : 0.0);
     }
-    json += "}, \"sparse_seq_ms\": " + std::to_string(seq_ms);
+    json += "}, \"sparse_seq_ms\": " + std::to_string(seq_ms) +
+            ", \"link_ms\": " + std::to_string(link_ms);
     if (dense_ms >= 0.0) {
       json += ", \"dense_ms\": " + std::to_string(dense_ms) +
               ", \"dense_over_sparse\": " +

@@ -11,7 +11,7 @@
 // if the work-efficiency machinery ever regresses into overhead.
 //
 // Gate 2 (substrate): at n = 2048 on a sparse random graph, the CSR
-// label-propagation engine must be at least 10x faster than the dense
+// engine's default solve must be at least 10x faster than the dense
 // paper field (DESIGN.md §12) — the whole justification of the substrate
 // redesign.  The margin is deliberately loose (the real ratio is orders of
 // magnitude); tripping it means the CSR engine degenerated to dense-like
@@ -27,20 +27,19 @@
 // message on hosts whose auto pick *is* scalar — the ratio is 1 by
 // construction there.
 //
-// Gate 4 (parallel sparse): at n >= 262144 on a CSR-native random graph,
-// the concurrent CAS-min labeling path (DESIGN.md §14) at 8 threads must
-// be at least 2.5x faster than the sequential sparse solve.  The gate is
-// only *enforced* on hosts with >= 8 hardware threads; with 2–7 the ratio
-// is measured and printed informationally (lane oversubscription makes
-// 2.5x unreachable), and below 2 the measurement itself is meaningless so
-// the gate is skipped with an explicit reason — mirroring Gate 3's
-// scalar-host skip.
+// Gate 4 (link pass): at n >= 262144 on a random graph of about 2n
+// edges kept by `CsrGraph::from_edges`, the default sparse solve (the
+// one-lane link pass, DESIGN.md §14) must be at least 3x faster than the
+// sync hook + jump reference at one lane.  Enforced on every host: both
+// sides run on one lane.
 //
-// Gate 5 (resilience overhead): at the gate-4 size, the sparse solve with
-// the DESIGN.md §15 resilience surface attached but detached — no-op round
-// hooks, monitors off, no certificate, no checkpoints — must stay within
-// 3% of the bare solve (median of >= 5).  The resilience machinery is
-// pay-for-what-you-use; this gate keeps the "use nothing" price at zero.
+// Gate 5 (resilience overhead): at the gate-4 size, the sync round loop
+// with the DESIGN.md §15 resilience surface attached but detached — no-op
+// round hooks, monitors off, no certificate, no checkpoints — must stay
+// within 3% of the bare sync solve (median of >= 5).  Both sides pin
+// kSync, so the gate compares hooks, not engines.  The resilience
+// machinery is pay-for-what-you-use; this gate keeps the "use nothing"
+// price at zero.
 //
 // Wired into scripts/check.sh as the "perf-smoke" phase; this is a coarse
 // tripwire (median-of-k, generous margins), not a benchmark —
@@ -48,14 +47,13 @@
 // scripts/bench_fault.sh measure the real speedups and overheads.
 //
 //   $ ./perf_smoke                     # n = 128, median of 3,
-//                                      # substrate n = 2048, parallel n = 262144
+//                                      # substrate n = 2048, link n = 262144
 //   $ ./perf_smoke 256 5 4096 524288   # custom sizes / repetitions
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -110,13 +108,11 @@ double substrate_ms(const gcalib::core::CcSolver& solver,
   });
 }
 
-double sparse_solve_ms(const gcalib::graph::CsrGraph& csr, unsigned threads,
-                       int reps) {
+double sparse_solve_ms(const gcalib::graph::CsrGraph& csr,
+                       gcalib::gca::SparseMode mode, int reps) {
   gcalib::core::RunOptions options;
   options.instrument = false;
-  options.threads = threads;
-  options.policy = threads > 1 ? gcalib::gca::ExecutionPolicy::kPool
-                               : gcalib::gca::ExecutionPolicy::kSequential;
+  options.sparse_mode = mode;
   const gcalib::core::SolverInput input(csr);
   return median_ms(reps, [&] {
     const gcalib::core::QueryResult result =
@@ -125,17 +121,15 @@ double sparse_solve_ms(const gcalib::graph::CsrGraph& csr, unsigned threads,
   });
 }
 
-/// Gate-5 variant: the same sparse solve with the resilience surface
-/// attached but doing nothing — no-op before/after round hooks, monitors
-/// and certificate off, no checkpoint directory.  Measures the price of
-/// merely *having* the hooks threaded through the round loop.
+/// Gate-5 variant: the same one-lane sync solve with the resilience
+/// surface attached but doing nothing — no-op before/after round hooks,
+/// monitors and certificate off, no checkpoint directory.  Measures the
+/// price of merely *having* the hooks threaded through the round loop.
 double sparse_detached_hooks_ms(const gcalib::graph::CsrGraph& csr,
-                                unsigned threads, int reps) {
+                                int reps) {
   gcalib::core::RunOptions options;
   options.instrument = false;
-  options.threads = threads;
-  options.policy = threads > 1 ? gcalib::gca::ExecutionPolicy::kPool
-                               : gcalib::gca::ExecutionPolicy::kSequential;
+  options.sparse_mode = gcalib::gca::SparseMode::kSync;
   options.sparse_before_round = [](const gcalib::core::SparseRoundContext&) {};
   options.sparse_after_round = [](const gcalib::core::SparseRoundContext&) {};
   const gcalib::core::SolverInput input(csr);
@@ -146,9 +140,9 @@ double sparse_detached_hooks_ms(const gcalib::graph::CsrGraph& csr,
   });
 }
 
-/// Random m-edge graph sampled straight into CSR form — the gate-4 input
-/// never materialises a dense representation (n^2 bits at n = 262144 is
-/// 8 GiB).
+/// Random m-edge graph kept as pairs by `CsrGraph::from_edges` — the
+/// gate-4 input never materialises a dense representation (n^2 bits at
+/// n = 262144 is 8 GiB).
 gcalib::graph::CsrGraph sample_csr(gcalib::graph::NodeId n,
                                    std::size_t target_edges,
                                    std::uint64_t seed) {
@@ -253,42 +247,29 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Gate 4: parallel sparse — the concurrent CAS-min path at 8 threads vs
-  // the sequential sparse solve on a CSR-native graph (DESIGN.md §14).
-  const auto parallel_n = static_cast<gcalib::graph::NodeId>(
+  // Gate 4: the link pass vs the sync reference, both on one lane.
+  const auto link_n = static_cast<gcalib::graph::NodeId>(
       argc > 4 ? std::stoul(argv[4]) : 262'144);
   const gcalib::graph::CsrGraph csr =
-      sample_csr(parallel_n, 2 * static_cast<std::size_t>(parallel_n), 1);
-  const unsigned hardware_threads = std::thread::hardware_concurrency();
-  if (hardware_threads < 2) {
-    std::printf(
-        "perf-smoke: parallel sparse gate skipped — host reports %u hardware "
-        "thread(s); a parallel speedup cannot be measured with fewer than 2\n",
-        hardware_threads);
-  } else {
-    constexpr unsigned kGateThreads = 8;
-    constexpr double kRequiredSpeedup = 2.5;
-    const double seq_ms = sparse_solve_ms(csr, 1, reps);
-    const double par_ms = sparse_solve_ms(csr, kGateThreads, reps);
-    const double speedup = par_ms > 0.0 ? seq_ms / par_ms : 0.0;
-    std::printf("perf-smoke: parallel sparse gate at n=%u (m=%zu, x%u)\n",
-                csr.node_count(), csr.edge_count(), kGateThreads);
-    std::printf("  sparse seq: %10.3f ms\n", seq_ms);
-    std::printf("  sparse x%u: %10.3f ms (%.2fx)\n", kGateThreads, par_ms,
-                speedup);
-    if (hardware_threads < kGateThreads) {
-      std::printf(
-          "perf-smoke: parallel sparse gate measured informationally — host "
-          "has %u hardware threads; the %.1fx floor is only enforced with "
-          ">= %u\n",
-          hardware_threads, kRequiredSpeedup, kGateThreads);
-    } else if (speedup < kRequiredSpeedup) {
+      sample_csr(link_n, 2 * static_cast<std::size_t>(link_n), 1);
+  constexpr auto kSync = gcalib::gca::SparseMode::kSync;
+  {
+    constexpr double kRequiredSpeedup = 3.0;
+    const double sync_ms = sparse_solve_ms(csr, kSync, reps);
+    const double link_ms =
+        sparse_solve_ms(csr, gcalib::gca::SparseMode::kAuto, reps);
+    const double speedup = link_ms > 0.0 ? sync_ms / link_ms : 0.0;
+    std::printf("perf-smoke: link pass gate at n=%u (m=%zu, one lane)\n",
+                csr.node_count(), csr.edge_count());
+    std::printf("  sync reference: %8.3f ms\n", sync_ms);
+    std::printf("  link pass:      %8.3f ms (%.2fx)\n", link_ms, speedup);
+    if (speedup < kRequiredSpeedup) {
       std::fprintf(stderr,
-                   "perf-smoke FAILED: parallel sparse solve is only %.2fx "
-                   "faster than sequential at n=%u (required: >= %.1fx; seq "
-                   "%.3f ms, x%u %.3f ms)\n",
-                   speedup, csr.node_count(), kRequiredSpeedup, seq_ms,
-                   kGateThreads, par_ms);
+                   "perf-smoke FAILED: the link pass is only %.2fx faster "
+                   "than the sync reference at n=%u (required: >= %.1fx; "
+                   "sync %.3f ms, link %.3f ms)\n",
+                   speedup, csr.node_count(), kRequiredSpeedup, sync_ms,
+                   link_ms);
       return 1;
     }
   }
@@ -299,8 +280,8 @@ int main(int argc, char** argv) {
   {
     constexpr double kAllowedOverhead = 1.03;
     const int gate_reps = std::max(reps, 5);
-    const double bare_ms = sparse_solve_ms(csr, 1, gate_reps);
-    const double hooked_ms = sparse_detached_hooks_ms(csr, 1, gate_reps);
+    const double bare_ms = sparse_solve_ms(csr, kSync, gate_reps);
+    const double hooked_ms = sparse_detached_hooks_ms(csr, gate_reps);
     const double ratio = bare_ms > 0.0 ? hooked_ms / bare_ms : 0.0;
     std::printf("perf-smoke: resilience overhead gate at n=%u (m=%zu)\n",
                 csr.node_count(), csr.edge_count());

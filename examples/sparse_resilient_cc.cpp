@@ -6,7 +6,7 @@
 // SIGKILL mid-solve.  The dense-field counterpart is gca_resilient_cc.
 //
 // Usage:
-//   sparse_resilient_cc [--n 20000] [--sparse-mode sync|async|auto]
+//   sparse_resilient_cc [--n 20000] [--sparse-mode sync|auto]
 //                       [--threads 1]
 //                       [--policy pool] [--seed 7] [--rate 0.05]
 //                       [--checkpoint-dir DIR] [--round-delay-us N]
@@ -103,12 +103,10 @@ int main(int argc, char** argv) {
   std::printf("graph: %u-cycle, %zu edges\n", n, csr.edge_count());
   std::printf("fault storm: %zu events (rate %.3g, seed %llu)\n", plan.size(),
               rate, static_cast<unsigned long long>(seed));
-  std::printf("  label flips: %zu, stuck vertices: %zu, lost updates: %zu, "
-              "stale frontiers: %zu\n\n",
+  std::printf("  label flips: %zu, stuck vertices: %zu, lost updates: %zu\n\n",
               count_site(plan, SparseFaultSite::kLabelBitFlip),
               count_site(plan, SparseFaultSite::kStuckVertex),
-              count_site(plan, SparseFaultSite::kLostUpdate),
-              count_site(plan, SparseFaultSite::kStaleFrontier));
+              count_site(plan, SparseFaultSite::kLostUpdate));
 
   gcalib::fault::SparseInjector injector(plan);
   gcalib::core::RunOptions options;

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Substrate scaling benchmark: dense paper field vs CSR label-propagation
-# engine (DESIGN.md §12) over a ladder of random graphs up to a million
-# edges.  Reports sparse sequential + parallel times at every rung and the
-# dense-field time where an O(n^2) field is still tractable, and writes the
-# series to BENCH_substrate.json.
+# Substrate scaling benchmark: dense paper field vs the CSR engines
+# (DESIGN.md §12, §14) over a ladder of random graphs up to a million
+# edges.  Reports the sync reference's sequential + parallel times and the
+# one-lane link pass at every rung, and the dense-field time where an
+# O(n^2) field is still tractable, and writes the series to
+# BENCH_substrate.json.
 #
 # Builds bench_substrate from a **Release** tree.  Numbers from unoptimised
 # builds are meaningless, so the script refuses to run against a tree whose
@@ -14,8 +15,8 @@
 #   BUILD_DIR=build-foo scripts/bench_substrate.sh    # non-default tree
 #   MAX_EDGES=65536 THREADS=1,2 scripts/bench_substrate.sh  # lighter run
 #
-# THREADS is a comma list: every rung is timed at each count (1 = the
-# synchronous reference the per-thread speedup columns divide by).
+# THREADS is a comma list: every rung times the sync reference at each
+# count (1 = the baseline the per-thread speedup columns divide by).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -14,6 +14,7 @@
 #   SKIP_CRASH_SMOKE=1 scripts/check.sh # skip the SIGKILL-resume smoke
 #   SKIP_SOAK_SMOKE=1 scripts/check.sh  # skip the gcad fault/kill soak
 #   SKIP_RELEASE_BUILD=1 scripts/check.sh  # skip the full Release build + ctest
+#   SKIP_PERFBENCH_SMOKE=1 scripts/check.sh # skip the perfbench smoke runs
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,14 +57,15 @@ if [ "$#" -eq 0 ]; then
     -j"$JOBS" -R '^KernelRegistry[A-Za-z]*\.'
 fi
 
-# TSan fast-fail over the concurrent labeling paths: the CAS-min sparse
-# modes (DESIGN.md §14) are the code most likely to hide a data race, and
-# the resilience surface (DESIGN.md §15) threads fault hooks, monitors and
-# GSKP checkpoint writes through those same parallel sweeps — so an
-# address-sanitizer run still gives them one ThreadSanitizer pass from a
-# dedicated build-thread tree.  Only those test binaries are built there —
-# the full suite under TSan is the explicit `scripts/check.sh thread` run,
-# and when that is already this run the extra pass would be redundant.
+# TSan fast-fail over the shared state of the sparse engine: the parallel
+# sync sweeps (DESIGN.md §14), the resilience surface (DESIGN.md §15) that
+# threads fault hooks, monitors and GSKP checkpoint writes through them,
+# and CsrGraph's once-only adjacency build that concurrent readers race to
+# start — so an address-sanitizer run still gives them one
+# ThreadSanitizer pass from a dedicated build-thread tree.  Only those test
+# binaries are built there — the full suite under TSan is the explicit
+# `scripts/check.sh thread` run, and when that is already this run the
+# extra pass would be redundant.
 if [ "${SKIP_TSAN_SMOKE:-0}" != "1" ] && [ "$SANITIZER" != "thread" ] \
    && [ "$#" -eq 0 ]; then
   TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-thread}"
@@ -72,10 +74,10 @@ if [ "${SKIP_TSAN_SMOKE:-0}" != "1" ] && [ "$SANITIZER" != "thread" ] \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$TSAN_BUILD_DIR" -j"$JOBS" \
     --target sparse_mode_test sparse_fault_test certificate_test \
-             gskp_checkpoint_test
+             gskp_checkpoint_test csr_graph_test
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j"$JOBS" \
-    -R '^([A-Za-z]+/)?(SparseMode|SparseAsync|SparseFault|Certificate|Gskp)[A-Za-z]*\.'
-  echo "tsan smoke: OK (concurrent sparse modes + resilience are race-clean)"
+    -R '^([A-Za-z]+/)?(SparseMode|SparseFault|Certificate|Gskp|CsrGraph)[A-Za-z]*\.'
+  echo "tsan smoke: OK (sparse sweeps, resilience and lazy CSR are race-clean)"
 fi
 
 # Release leg: the whole tree — tests included — in the Release build
@@ -96,10 +98,10 @@ fi
 # fails if the sparse sweep regresses to >10% slower than dense at n = 128,
 # if the CSR substrate loses its >=10x edge over the dense field at
 # n = 2048 (DESIGN.md §12), if the auto-dispatched kernel table loses
-# its >=2.5x edge over the scalar reference at n = 256 (DESIGN.md §13), or
-# if the concurrent CAS-min path at 8 threads loses its >=2.5x edge over
-# the sequential sparse solve at n = 262144 (DESIGN.md §14; enforced only
-# on hosts with >= 8 hardware threads).
+# its >=2.5x edge over the scalar reference at n = 256 (DESIGN.md §13), if
+# the link pass loses its >=3x edge over the one-lane sync reference at
+# n = 262144 (DESIGN.md §14), or if detached resilience hooks cost the sync
+# loop more than 3% (DESIGN.md §15).
 if [ "${SKIP_PERF_SMOKE:-0}" != "1" ]; then
   PERF_BUILD_DIR="${PERF_BUILD_DIR:-build-bench}"
   if [ ! -d "$PERF_BUILD_DIR" ]; then
@@ -143,36 +145,51 @@ if [ "${SKIP_CRASH_SMOKE:-0}" != "1" ]; then
     echo "crash-recovery smoke: OK (SIGKILL + resume + MATCH)"
   fi
 
-  # Same drill on the sparse CSR substrate, once per sparse mode: SIGKILL a
-  # GSKP-checkpointed solve mid-lattice, relaunch on the same directory, and
-  # require a mid-solve resume plus union-find-identical labels.  The
-  # --round-delay-us stall widens the kill window exactly like
-  # --step-delay-us does for the dense field above.
+  # Same drill on the sparse CSR substrate (a checkpointed solve runs the
+  # sync round loop): SIGKILL a GSKP-checkpointed solve mid-lattice,
+  # relaunch on the same directory, and require a mid-solve resume plus
+  # union-find-identical labels.  The --round-delay-us stall widens the
+  # kill window exactly like --step-delay-us does for the dense field above.
   cmake --build "$PERF_BUILD_DIR" --target sparse_resilient_cc -j"$JOBS"
-  for SPARSE_MODE in sync async; do
-    SPARSE_CKPT_DIR="$(mktemp -d)"
-    "$PERF_BUILD_DIR"/examples/sparse_resilient_cc --n 20000 --rate 0 \
-      --sparse-mode "$SPARSE_MODE" --threads 4 --round-delay-us 300000 \
-      --checkpoint-dir "$SPARSE_CKPT_DIR" >/dev/null 2>&1 &
-    VICTIM=$!
-    sleep 0.5
-    kill -9 "$VICTIM" 2>/dev/null || true
-    wait "$VICTIM" 2>/dev/null || true
-    if [ ! -f "$SPARSE_CKPT_DIR/sparse.gskp" ]; then
-      echo "sparse crash smoke ($SPARSE_MODE): SKIP (finished before the kill)"
-    else
-      RELAUNCH="$("$PERF_BUILD_DIR"/examples/sparse_resilient_cc --n 20000 \
-        --rate 0 --sparse-mode "$SPARSE_MODE" --threads 4 \
-        --checkpoint-dir "$SPARSE_CKPT_DIR" 2>&1)"
-      echo "$RELAUNCH" | grep -q 'resumed from durable sparse checkpoint' \
-        || { echo "sparse crash smoke ($SPARSE_MODE): FAIL (no resume)" >&2
-             echo "$RELAUNCH" >&2; exit 1; }
-      echo "$RELAUNCH" | grep -q 'labels vs union-find baseline: MATCH' \
-        || { echo "sparse crash smoke ($SPARSE_MODE): FAIL (wrong labels)" >&2
-             echo "$RELAUNCH" >&2; exit 1; }
-      echo "sparse crash smoke ($SPARSE_MODE): OK (SIGKILL + resume + MATCH)"
-    fi
-    rm -rf "$SPARSE_CKPT_DIR"
+  SPARSE_CKPT_DIR="$(mktemp -d)"
+  "$PERF_BUILD_DIR"/examples/sparse_resilient_cc --n 20000 --rate 0 \
+    --threads 4 --round-delay-us 300000 \
+    --checkpoint-dir "$SPARSE_CKPT_DIR" >/dev/null 2>&1 &
+  VICTIM=$!
+  sleep 0.5
+  kill -9 "$VICTIM" 2>/dev/null || true
+  wait "$VICTIM" 2>/dev/null || true
+  if [ ! -f "$SPARSE_CKPT_DIR/sparse.gskp" ]; then
+    echo "sparse crash smoke: SKIP (finished before the kill)"
+  else
+    RELAUNCH="$("$PERF_BUILD_DIR"/examples/sparse_resilient_cc --n 20000 \
+      --rate 0 --threads 4 --checkpoint-dir "$SPARSE_CKPT_DIR" 2>&1)"
+    echo "$RELAUNCH" | grep -q 'resumed from durable sparse checkpoint' \
+      || { echo "sparse crash smoke: FAIL (no resume)" >&2
+           echo "$RELAUNCH" >&2; exit 1; }
+    echo "$RELAUNCH" | grep -q 'labels vs union-find baseline: MATCH' \
+      || { echo "sparse crash smoke: FAIL (wrong labels)" >&2
+           echo "$RELAUNCH" >&2; exit 1; }
+    echo "sparse crash smoke: OK (SIGKILL + resume + MATCH)"
+  fi
+  rm -rf "$SPARSE_CKPT_DIR"
+fi
+
+# perfbench smoke: build the benchmark's own Release tree (.bench_build/)
+# and run every workload briefly, end to end and traced; each run checks
+# every answer against union-find and must print "correct": true.
+if [ "${SKIP_PERFBENCH_SMOKE:-0}" != "1" ]; then
+  for WORKLOAD in svc-n4000 svc-n48 offline-1m; do
+    for TRACE in 0 1; do
+      OUT="$(python3 perfbench/run.py --workload "$WORKLOAD" --seed 1 \
+        --seconds 2 --trace "$TRACE")" \
+        || { echo "perfbench smoke ($WORKLOAD, trace $TRACE): FAIL" >&2
+             echo "$OUT" >&2; exit 1; }
+      echo "$OUT" | tail -n 1 | grep -q '"correct": true' \
+        || { echo "perfbench smoke ($WORKLOAD, trace $TRACE): FAIL" >&2
+             echo "$OUT" >&2; exit 1; }
+      echo "perfbench smoke ($WORKLOAD, trace $TRACE): OK"
+    done
   done
 fi
 

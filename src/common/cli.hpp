@@ -50,12 +50,11 @@ namespace cli {
 ///   --policy NAME          sequential | spawn | pool (default "pool")
 ///   --sweep MODE           dense | sparse (default "sparse"): whether the
 ///                          engine honours per-generation active regions
-///   --sparse-mode NAME     sync | async | auto (default "auto"): the CSR
-///                          engine's generation loop — double-buffered
-///                          synchronous sweeps (the golden reference) or
-///                          concurrent CAS-min label propagation with
-///                          frontier worklists; auto picks async whenever
-///                          the sweep is parallel (DESIGN.md §14)
+///   --sparse-mode NAME     sync | auto (default "auto"): the CSR engine —
+///                          double-buffered synchronous hook + jump sweeps
+///                          (the golden reference), or auto: the one-lane
+///                          link pass over the edges unless a resilience
+///                          feature needs the round loop (DESIGN.md §14)
 ///   --no-instrumentation   disable per-step congestion statistics
 ///   --record-access        record individual (reader, target) access edges
 ///                          (requires an effectively sequential sweep)

@@ -2,9 +2,11 @@
 //
 // Two engines sit behind one contract (DESIGN.md §12):
 //
-//  * `sparse_cc_solver()` — O(m)-work Hirschberg-style hooking / pointer
-//    jumping over an immutable CSR adjacency (core/sparse_cc_solver.hpp).
-//    The production engine: `core::Runner` and gcad run every query on it.
+//  * `sparse_cc_solver()` — the production engine: one link-by-min
+//    union-find pass over the edges, with Hirschberg-style hooking /
+//    pointer jumping over a CSR adjacency as its sync reference
+//    (core/sparse_cc_solver.hpp).  `core::Runner` and gcad run every query
+//    on it.
 //  * `dense_cc_solver()` — the paper-faithful (n+1) x n cell field
 //    (core/hirschberg_gca.hpp), the golden reference with the full Table-1
 //    observability, checkpoint/rollback recovery and durable checkpoints.
@@ -47,19 +49,13 @@ class SolverInput {
   [[nodiscard]] graph::NodeId node_count() const {
     return dense_ != nullptr ? dense_->node_count() : csr_->node_count();
   }
-  [[nodiscard]] std::size_t edge_count() const {
-    return dense_ != nullptr ? dense_->edge_count() : csr_->edge_count();
-  }
-  [[nodiscard]] double density() const {
-    return dense_ != nullptr ? dense_->density() : csr_->density();
-  }
 
   [[nodiscard]] bool has_dense() const { return dense_ != nullptr; }
   [[nodiscard]] bool has_csr() const { return csr_ != nullptr; }
 
-  /// Adjacency-list view; materialised from the CSR on first use
-  /// (O(n + m)).  Only the dense reference solver asks for it; its field
-  /// is what costs O(n^2).
+  /// Adjacency-list view; materialised from a CSR input on first use
+  /// (O(n + m)).  Only the dense reference solver asks a CSR input for
+  /// it; its field is what costs O(n^2).
   [[nodiscard]] const graph::Graph& dense() const;
 
   /// CSR view; materialised from the dense graph on first use (O(n + m)).

@@ -153,15 +153,10 @@ class HirschbergGca;
 /// fault injector does — and the per-round monitors (`sparse_monitors`)
 /// are what catches it before the next sweep dereferences it.
 struct SparseRoundContext {
-  unsigned round = 0;        ///< 0-based hook/shortcut round index
+  unsigned round = 0;        ///< 0-based hook/jump round index
   graph::NodeId n = 0;       ///< vertex count; labels are indexed [0, n)
-  bool async = false;        ///< true on the concurrent CAS-min round loop
   std::function<graph::NodeId(graph::NodeId)> get;  ///< read label[v]
   std::function<void(graph::NodeId, graph::NodeId)> set;  ///< write label[v]
-  /// Async only (empty in sync mode): discard every change recorded this
-  /// round, so the next frontier worklist misses them — the stale-frontier
-  /// fault site.  The labels themselves are untouched.
-  std::function<void()> drop_frontier;
 };
 
 /// Checkpoint/rollback policy for detected state corruption (see src/fault/
@@ -197,20 +192,13 @@ struct RunOptions {
   /// kernels are enabled at all (sparse sweep, no instrumentation); every
   /// variant is bit-identical to the scalar reference.
   gca::KernelVariant kernels = gca::KernelVariant::kAuto;
-  /// Generation-loop discipline of the CSR substrate (ignored by the dense
-  /// cell-field machine): kSync double-buffers labels and is the
-  /// bit-identical golden reference; kAsync runs concurrent CAS-min label
-  /// propagation with active-frontier worklists; kAuto picks async exactly
-  /// when the sweep is parallel (threads > 1 and a parallel policy).  Both
-  /// modes converge to the same canonical min-id labeling (DESIGN.md §14).
+  /// Engine of the CSR solver (ignored by the dense cell-field machine):
+  /// kAuto runs the one-lane link pass over the edges unless a round-loop
+  /// feature (sparse hooks, monitors, certify, checkpoint_dir, recovery) is
+  /// set; kSync always runs the double-buffered hook + jump loop, the
+  /// bit-identical golden reference.  Both end in the same canonical min-id
+  /// labeling (DESIGN.md §14).
   gca::SparseMode sparse_mode = gca::SparseMode::kAuto;
-  /// Frontier/dense crossover for the async CSR path: a round sweeps only
-  /// the active worklist while the frontier holds at most this fraction of
-  /// the vertices, and falls back to a full sweep above it (building a
-  /// worklist that names most of the graph costs more than it saves).
-  /// 0 disables worklists entirely (every async round sweeps densely);
-  /// values are clamped to [0, 1].  Ignored in sync mode.
-  double sparse_frontier = 0.35;
   /// Paranoid mode: validates machine invariants after every outer
   /// iteration (labels are node ids, component count never increases) and
   /// the final labeling against a sequential oracle.  Throws
@@ -249,16 +237,15 @@ struct RunOptions {
 
   // --- sparse resilience hooks (DESIGN.md §15) --------------------------
   //
-  // The CSR-substrate counterparts of the dense step hooks above.  They
-  // cost nothing when unset: the sparse solver only leaves its PR-9 fast
-  // path when one of these (or `checkpoint_dir` / an enabled recovery
-  // policy) is present.
+  // The CSR-substrate counterparts of the dense step hooks above.  Any of
+  // these (or `checkpoint_dir` / an enabled recovery policy) moves the
+  // sparse solver from its link pass to the sync round loop.
 
   /// Called before every sparse round, after any checkpoint/anchor state
   /// was captured — the injection point for label corruption.
   std::function<void(const SparseRoundContext&)> sparse_before_round;
   /// Called after every sparse round — the injection point for stuck-at
-  /// re-pinning, lost-update reverts and frontier drops.
+  /// re-pinning and lost-update reverts.
   std::function<void(const SparseRoundContext&)> sparse_after_round;
   /// Per-round label-lattice monitors: every label in range and <= its
   /// vertex id, monotone non-increasing against the previous round, and

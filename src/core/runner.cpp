@@ -18,9 +18,6 @@ Runner::Runner(RunnerOptions options) : options_(std::move(options)) {
                      "runner: deadline_ms must be >= 0 (0 = unlimited)");
   GCALIB_EXPECTS_MSG(options_.retry_backoff_ms >= 0,
                      "runner: retry_backoff_ms must be >= 0");
-  if (options_.threads > 1 && options_.policy == gca::ExecutionPolicy::kPool) {
-    pool_ = gca::ThreadPool::shared(options_.threads);
-  }
 }
 
 Runner::~Runner() = default;
@@ -133,22 +130,11 @@ QueryOutcome Runner::attempt_query(const SolverInput& input, std::size_t index,
 }
 
 QueryOutcome Runner::try_solve(const graph::Graph& g) const {
-  const SolverInput input(g);
-  return attempt_query(input, 0, lone_query_options(input));
+  return attempt_query(SolverInput(g), 0, single_query_options());
 }
 
 QueryOutcome Runner::try_solve(const graph::CsrGraph& g) const {
-  const SolverInput input(g);
-  return attempt_query(input, 0, lone_query_options(input));
-}
-
-RunOptions Runner::lone_query_options(const SolverInput& input) const {
-  RunOptions run_options = single_query_options();
-  if (input.node_count() + 2 * input.edge_count() < kMinParallelQueryWork) {
-    run_options.threads = 1;
-    run_options.policy = gca::ExecutionPolicy::kSequential;
-  }
-  return run_options;
+  return attempt_query(SolverInput(g), 0, single_query_options());
 }
 
 RunOptions Runner::single_query_options() const {
@@ -169,18 +155,16 @@ std::vector<QueryOutcome> Runner::solve_batch(
     const std::vector<graph::Graph>& graphs) const {
   std::vector<QueryOutcome> outcomes(graphs.size());
   if (graphs.size() == 1) {
-    // A one-query batch has no sibling queries to parallelise across —
-    // sequentialising a large one would leave every lane but one idle.
-    // Treat it exactly like the single-shot API: the full thread budget
-    // (and with it the async sparse path) unless it is too small to pay
-    // for a parallel dispatch.
-    const SolverInput input(graphs[0]);
-    outcomes[0] = attempt_query(input, 0, lone_query_options(input));
+    // A one-query batch has no sibling queries to parallelise across:
+    // treat it exactly like the single-shot API, so a round-loop query
+    // keeps the full thread budget.
+    outcomes[0] = attempt_query(SolverInput(graphs[0]), 0,
+                                single_query_options());
     return outcomes;
   }
   // Same options as a lone query (the sink is thread-safe; lanes push
   // concurrently), except that lanes parallelise across queries, so each
-  // query sweeps sequentially, and that no checkpoint directory is shared:
+  // query runs on one lane, and that no checkpoint directory is shared:
   // sibling queries would race on one artifact file.
   RunOptions run_options = single_query_options();
   run_options.threads = 1;
@@ -189,7 +173,7 @@ std::vector<QueryOutcome> Runner::solve_batch(
 
   const unsigned lanes = static_cast<unsigned>(
       std::min<std::size_t>(options_.threads, graphs.size()));
-  if (pool_ == nullptr || lanes <= 1) {
+  if (options_.policy != gca::ExecutionPolicy::kPool || lanes <= 1) {
     for (std::size_t i = 0; i < graphs.size(); ++i) {
       outcomes[i] = attempt_query(SolverInput(graphs[i]), i, run_options);
     }
@@ -207,6 +191,9 @@ std::vector<QueryOutcome> Runner::solve_batch(
       outcomes[i] = attempt_query(SolverInput(graphs[i]), i, run_options);
     }
   };
+  std::call_once(pool_started_, [this] {
+    pool_ = gca::ThreadPool::shared(options_.threads);
+  });
   pool_->run(lanes, lane);
   return outcomes;
 }

@@ -2,25 +2,24 @@
 //
 // The ROADMAP's service shape is "many small queries under heavy traffic",
 // not one giant field: a stream of graphs (social subgraphs, circuit nets,
-// image tiles) each needing a labeling.  Spinning an engine *and* a thread
-// team per query would pay the setup cost the pool backend just removed,
-// so the Runner owns one shared `gca::ThreadPool` and amortises it two
-// ways:
+// image tiles) each needing a labeling.  Spinning a thread team per query
+// would pay the setup cost the pool backend removed, so the Runner keeps
+// one shared `gca::ThreadPool`, started by the first batch that needs it:
 //
-//  * `solve(graph)` — one query, swept in parallel across the pool lanes
-//    (the right grain for a large graph; below kMinParallelQueryWork it
-//    runs on one lane);
+//  * `solve(graph)` — one query.  The default engine, the link pass, runs
+//    on one lane; a query that needs the sync round loop (kSync or a
+//    resilience feature) sweeps across the pool lanes;
 //  * `solve_batch(graphs)` — many queries pulled off a shared cursor by
-//    the pool lanes, each solved with a sequential sweep (the right grain
-//    for many small graphs: no per-generation handshake at all, lanes stay
-//    busy across query boundaries).
+//    the pool lanes, each solved on one lane (the right grain for many
+//    small graphs: lanes stay busy across query boundaries).
 //
 // Results always come back in input order.  Every query runs on the CSR
-// engine (`sparse_cc_solver()`, DESIGN.md §12) — a `graph::Graph` input
-// is converted through `SolverInput::csr()` — and its labeling is the
-// canonical min-id labeling, bit-identical to n independent
-// `gca_components` calls on the paper's field.  The field itself is never
-// run here; callers that want it name `dense_cc_solver()`.
+// engine (`sparse_cc_solver()`, DESIGN.md §12) on the representation it
+// arrived in — the link pass reads a `graph::Graph`'s lists and a
+// `CsrGraph`'s stored pairs directly — and its labeling is the canonical
+// min-id labeling, bit-identical to n independent `gca_components` calls
+// on the paper's field.  The field itself is never run here; callers that
+// want it name `dense_cc_solver()`.
 //
 // Fault isolation (DESIGN.md §10): `solve_batch` confines every failure to
 // its own query.  Each query runs under the batch deadline and retry
@@ -37,6 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/status.hpp"
@@ -58,13 +58,14 @@ struct RunOptions;  // core/hirschberg_gca.hpp
 /// Knobs of a Runner instance (validated by the constructor).
 struct RunnerOptions {
   unsigned threads = 1;  ///< pool width (1 = everything sequential)
-  /// Backend for the per-query sweep in `solve`; `solve_batch` uses the
-  /// pool across queries whenever the policy is kPool and threads > 1.
+  /// Backend for the per-query round-loop sweep in `solve`; `solve_batch`
+  /// uses the pool across queries whenever the policy is kPool and
+  /// threads > 1.
   gca::ExecutionPolicy policy = gca::ExecutionPolicy::kPool;
-  /// Generation-loop discipline of the CSR engine (DESIGN.md §14): kSync
-  /// pins the double-buffered reference, kAsync the concurrent CAS-min
-  /// path, kAuto (the default) picks async exactly when the query sweeps
-  /// in parallel.  The converged labeling is identical either way.
+  /// Engine of the CSR solver (DESIGN.md §14): kAuto (the default) runs
+  /// the link pass unless a query asks for a round-loop feature; kSync pins
+  /// the double-buffered hook + jump reference.  The labeling is identical
+  /// either way.
   gca::SparseMode sparse_mode = gca::SparseMode::kAuto;
   bool instrument = false;  ///< collect per-step statistics per query
   /// Metrics sink shared by every query (non-owning; nullptr = no tracing).
@@ -109,14 +110,6 @@ struct RunnerOptions {
   std::function<void(std::size_t query, RunOptions& run)> configure_query;
 };
 
-/// Work n + 2m below which a lone query (`try_solve`, a one-query
-/// `solve_batch`) runs on one lane with the sequential policy, whatever
-/// `threads` says: a parallel dispatch costs more than it saves there.
-/// From the measured crossover of `try_solve`, 1 lane vs 2 (DESIGN.md
-/// §14): 1e5 on sparse G(n, 2n) and 2e5 on dense small-n graphs on one
-/// 4-vCPU host; the power of two between them.
-inline constexpr std::size_t kMinParallelQueryWork = std::size_t{1} << 17;
-
 // QueryResult / QueryOutcome live in core/cc_solver.hpp with the solver
 // interface; the Runner re-exports them through this include for its
 // callers (gcad, tools, tests).
@@ -149,7 +142,7 @@ class Runner {
   [[nodiscard]] QueryOutcome try_solve(const graph::CsrGraph& g) const;
 
   /// Labels every graph of the batch; queries are distributed over the
-  /// pool lanes and each is solved with a sequential sweep.  Outcomes are
+  /// pool lanes and each is solved on one lane.  Outcomes are
   /// in input order.  Every failure is confined to its own QueryOutcome —
   /// no exception escapes the batch, and the lane joins are exception-safe
   /// by construction (lanes catch at the query boundary).
@@ -164,13 +157,13 @@ class Runner {
   /// sparse mode (a single query has the whole pool to itself).  Batch
   /// options derive from these.
   [[nodiscard]] RunOptions single_query_options() const;
-  /// `single_query_options`, on one sequential lane when the query's work
-  /// is below kMinParallelQueryWork.
-  [[nodiscard]] RunOptions lone_query_options(const SolverInput& input) const;
   [[nodiscard]] QueryResult unwrap(QueryOutcome outcome) const;
 
   RunnerOptions options_;
-  std::shared_ptr<gca::ThreadPool> pool_;
+  /// The batch pool, started by the first batch that runs queries side by
+  /// side: a lone query's link pass runs on one lane and never needs it.
+  mutable std::once_flag pool_started_;
+  mutable std::shared_ptr<gca::ThreadPool> pool_;
 };
 
 }  // namespace gcalib::core

@@ -1,11 +1,12 @@
 #include "core/sparse_cc_solver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,11 +16,9 @@
 #include "common/assert.hpp"
 #include "core/checkpoint.hpp"
 #include "core/hirschberg_gca.hpp"
-#include "gca/bitplane.hpp"
 #include "gca/cancel.hpp"
 #include "gca/metrics.hpp"
 #include "gca/thread_pool.hpp"
-#include "gca/worklist.hpp"
 #include "graph/certificate.hpp"
 #include "graph/union_find.hpp"
 
@@ -33,11 +32,6 @@ using graph::NodeId;
 /// boundaries: a tripped token or expired deadline aborts within a few
 /// thousand cells of work, always *before* a result is published.
 constexpr std::size_t kStopPollStride = 4096;
-
-/// Worklist entries a lane claims per cursor bump.  Small enough that a
-/// handful of high-degree vertices cannot serialise the sweep behind one
-/// lane, large enough that the cursor's cache line is not contended.
-constexpr std::size_t kWorklistChunk = 256;
 
 struct StopState {
   const gca::CancelToken* cancel = nullptr;
@@ -55,31 +49,6 @@ struct StopState {
     }
   }
 };
-
-/// Per-lane tallies, one cache line each: lanes bump their own counters in
-/// the hot loop without ever invalidating a sibling's line (a shared
-/// atomic counter serialises every lane behind one line's ownership).
-struct alignas(64) LaneTally {
-  std::size_t changes = 0;
-  std::size_t reads = 0;
-};
-
-/// Tree-style (pairwise, stride-doubling) reduction of the per-lane
-/// tallies after the dispatch barrier: log2(lanes) combining rounds, the
-/// PRAM reduction shape, instead of a serial left fold.  With the lane
-/// counts in play the arithmetic difference is negligible — the point is
-/// that no sweep ever funnels its convergence decision through a single
-/// shared accumulator.
-std::size_t reduce_changes(std::vector<LaneTally>& tallies) {
-  const std::size_t lanes = tallies.size();
-  for (std::size_t stride = 1; stride < lanes; stride *= 2) {
-    for (std::size_t i = 0; i + stride < lanes; i += 2 * stride) {
-      tallies[i].changes += tallies[i + stride].changes;
-      tallies[i].reads += tallies[i + stride].reads;
-    }
-  }
-  return tallies.empty() ? 0 : tallies[0].changes;
-}
 
 /// Runs per-lane bodies over the configured backend (sequential / spawn /
 /// persistent pool) with per-lane exception capture; the first captured
@@ -245,25 +214,6 @@ struct SweepStats {
     }
     return stats;
   }
-
-  /// Async-round counters: cells_swept / active_cells / total_reads only.
-  /// Congestion histograms are a synchronous-reference notion — they
-  /// project *which cell was read how often in one generation*, and the
-  /// in-place concurrent sweep has no generation-consistent read set to
-  /// project (DESIGN.md §14).
-  [[nodiscard]] gca::GenerationStats async_stats(
-      std::uint64_t generation, const char* kind, unsigned round,
-      std::size_t cells_swept, std::size_t active_cells,
-      std::size_t total_reads) const {
-    gca::GenerationStats stats;
-    stats.generation = generation;
-    stats.label = std::string(kind) + "#" + std::to_string(round);
-    stats.cell_count = csr->node_count();
-    stats.cells_swept = cells_swept;
-    stats.active_cells = active_cells;
-    stats.total_reads = total_reads;
-    return stats;
-  }
 };
 
 /// Convergence guard: hooking + jump-to-fixpoint rounds are O(log n) (the
@@ -275,23 +225,113 @@ unsigned round_guard(NodeId n, unsigned slack) {
   return 2 * (log2n + 2) + slack;
 }
 
-void self_check_labels(const graph::CsrGraph& csr, const QueryResult& result) {
-  const NodeId n = csr.node_count();
-  graph::UnionFind oracle(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : csr.neighbors(u)) {
-      if (u < v) oracle.unite(u, v);
+/// Calls `fn(u, v)` once per edge of the query on the representation it
+/// arrived in, building no other: a CSR graph's pairs or arcs
+/// (`CsrGraph::for_each_edge`), a `Graph`'s lists with u < v.
+template <typename Fn>
+void for_each_edge(const SolverInput& input, Fn&& fn) {
+  if (input.has_csr()) {
+    input.csr().for_each_edge(fn);
+    return;
+  }
+  const graph::Graph& g = input.dense();
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (const NodeId v : g.neighbors(u)) {
+      if (u < v) fn(u, v);
     }
   }
+}
+
+void self_check_labels(const SolverInput& input, const QueryResult& result) {
+  graph::UnionFind oracle(input.node_count());
+  for_each_edge(input, [&oracle](NodeId u, NodeId v) { oracle.unite(u, v); });
   GCALIB_ENSURES(result.labels == oracle.min_labels());
   GCALIB_ENSURES(result.components == oracle.set_count());
 }
 
 // ---------------------------------------------------------------------------
+// Link pass — the production engine: one pass of link-by-min union-find
+// over the query's edges (DESIGN.md §14).
+// ---------------------------------------------------------------------------
+
+/// Hirschberg's step 2 hooks every super node onto its smallest
+/// neighbouring super node; linking roots by minimum id makes that hook one
+/// edge at a time.  Each edge runs Rem's loop with splicing (Patwary, Blair
+/// and Manne, SEA 2010).  Every write lowers a parent, so a non-root always
+/// has p[v] < v and every root is the minimum id of its set; one ascending
+/// pass p[v] = p[p[v]] then leaves the canonical min-id labeling, with no
+/// rank array and no min-label pass.  Duplicate pairs and self-loops need
+/// no filtering: their endpoints are already in one set.  One lane:
+/// `threads` is not consulted.
+QueryResult solve_link(const SolverInput& input, const RunOptions& options,
+                       const StopState& stop) {
+  QueryResult result;
+  const NodeId n = input.node_count();
+  const bool timed = options.sink != nullptr;
+  const std::int64_t start_ns = timed ? gca::steady_now_ns() : 0;
+
+  std::vector<NodeId> p(n);
+  for (NodeId v = 0; v < n; ++v) p[v] = v;
+  std::size_t links = 0;
+  std::size_t edges = 0;
+  const auto link = [&p, &links, &edges](NodeId x, NodeId y) {
+    ++edges;
+    while (p[x] != p[y]) {
+      if (p[x] < p[y]) std::swap(x, y);  // now p[x] > p[y]
+      if (p[x] == x) {
+        p[x] = p[y];
+        ++links;
+        return;
+      }
+      const NodeId z = p[x];
+      p[x] = p[y];
+      x = z;
+    }
+  };
+  if (stop.armed()) {
+    // A countdown, not a clock read per edge: gcad arms every query.
+    stop.poll();
+    std::size_t budget = kStopPollStride;
+    for_each_edge(input, [&](NodeId u, NodeId v) {
+      link(u, v);
+      if (--budget == 0) {
+        budget = kStopPollStride;
+        stop.poll();
+      }
+    });
+  } else {
+    for_each_edge(input, link);
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    p[v] = p[p[v]];  // p[v] <= v, so its entry already names the root
+    if (p[v] == v) ++result.components;
+  }
+  result.labels = std::move(p);
+  result.generations = 1;
+
+  if (options.instrument || timed) {
+    gca::GenerationStats stats;
+    stats.label = "link";
+    stats.cell_count = n;
+    stats.cells_swept = n;
+    stats.active_cells = links;
+    stats.total_reads = edges;
+    if (timed) {
+      stats.start_ns = static_cast<std::uint64_t>(start_ns);
+      stats.duration_ns =
+          static_cast<std::uint64_t>(gca::steady_now_ns() - start_ns);
+      options.sink->on_step(stats);
+    }
+    if (options.instrument) result.sweeps.push_back(std::move(stats));
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------------
 // Resilience context — monitors, anchors, durable GSKP checkpoints
-// (DESIGN.md §15).  Everything here is on the cold path: a solve without
-// sparse hooks / monitors / certify / checkpoint_dir / recovery passes a
-// null context and runs the PR-9 round loops untouched.
+// (DESIGN.md §15).  Everything here is on the cold path: a kSync solve
+// without sparse hooks / monitors / certify / checkpoint_dir / recovery
+// passes a null context and runs the round loop untouched.
 // ---------------------------------------------------------------------------
 
 /// Steps of the bounded root chase a monitored round walks per vertex.
@@ -302,7 +342,7 @@ constexpr unsigned kChaseBound = 16;
 
 /// Internal detection signal of the resilient round loops: a monitor or
 /// certificate found the label lattice corrupted.  Caught by the recovery
-/// ladder (rollback → degraded sync re-run → restart) and converted to
+/// ladder (rollback → restart) and converted to
 /// ContractViolation only when the ladder is exhausted or disabled.
 struct SparseDetection : std::runtime_error {
   using std::runtime_error::runtime_error;
@@ -333,10 +373,9 @@ class ResilienceState {
   }
 
   template <typename Get, typename Set>
-  void begin_round(unsigned round, bool async, const Get& get, const Set& set,
-                   const std::function<void()>& drop) {
+  void begin_round(unsigned round, const Get& get, const Set& set) {
     if (options->sparse_before_round) {
-      options->sparse_before_round(make_ctx(round, async, get, set, drop));
+      options->sparse_before_round(make_ctx(round, get, set));
     }
     // Monitors run immediately after the injection point and *before* the
     // sweep: a label corrupted out of [0, n) would otherwise be used as an
@@ -345,10 +384,9 @@ class ResilienceState {
   }
 
   template <typename Get, typename Set>
-  void end_round(unsigned round, bool async, const Get& get, const Set& set,
-                 const std::function<void()>& drop) {
+  void end_round(unsigned round, const Get& get, const Set& set) {
     if (options->sparse_after_round) {
-      options->sparse_after_round(make_ctx(round, async, get, set, drop));
+      options->sparse_after_round(make_ctx(round, get, set));
     }
     if (options->sparse_monitors) monitors_or_throw(round, get);
     for (NodeId v = 0; v < n; ++v) prev[v] = get(v);
@@ -376,15 +414,12 @@ class ResilienceState {
  private:
   template <typename Get, typename Set>
   [[nodiscard]] SparseRoundContext make_ctx(
-      unsigned round, bool async, const Get& get, const Set& set,
-      const std::function<void()>& drop) const {
+      unsigned round, const Get& get, const Set& set) const {
     SparseRoundContext ctx;
     ctx.round = round;
     ctx.n = n;
-    ctx.async = async;
     ctx.get = get;
     ctx.set = set;
-    ctx.drop_frontier = drop;
     return ctx;
   }
 
@@ -469,6 +504,14 @@ QueryResult solve_sync(const graph::CsrGraph& csr, const RunOptions& options,
   };
 
   const std::vector<NodeId>* read = &cur;  // sweeps read cur, write next
+  // The hook sweeps index the arc array directly: asking the graph for
+  // each row would check its once-only adjacency build per vertex.
+  const std::vector<std::size_t>& offsets = csr.offsets();
+  const std::vector<NodeId>& arcs = csr.arcs();
+  const auto row = [&offsets, &arcs](std::size_t v) {
+    return std::span<const NodeId>(arcs.data() + offsets[v],
+                                   offsets[v + 1] - offsets[v]);
+  };
   const auto hook_body = [&](unsigned, std::size_t begin,
                              std::size_t end) -> std::size_t {
     std::size_t active = 0;
@@ -476,9 +519,7 @@ QueryResult solve_sync(const graph::CsrGraph& csr, const RunOptions& options,
     if (!stop.armed()) {  // unarmed: the tight loop carries no poll counter
       for (std::size_t v = begin; v < end; ++v) {
         NodeId best = d[v];
-        for (const NodeId u : csr.neighbors(static_cast<NodeId>(v))) {
-          best = std::min(best, d[u]);
-        }
+        for (const NodeId u : row(v)) best = std::min(best, d[u]);
         next[v] = best;
         active += best != d[v] ? 1u : 0u;
       }
@@ -494,7 +535,7 @@ QueryResult solve_sync(const graph::CsrGraph& csr, const RunOptions& options,
     std::size_t budget = kStopPollStride;
     for (std::size_t v = begin; v < end; ++v) {
       NodeId best = d[v];
-      for (const NodeId u : csr.neighbors(static_cast<NodeId>(v))) {
+      for (const NodeId u : row(v)) {
         best = std::min(best, d[u]);
         if (--budget == 0) {
           budget = kStopPollStride;
@@ -541,7 +582,7 @@ QueryResult solve_sync(const graph::CsrGraph& csr, const RunOptions& options,
   for (unsigned round = 0;; ++round) {
     GCALIB_ASSERT_MSG(round < max_rounds,
                       "sparse-csr: hook/jump rounds failed to converge");
-    if (res != nullptr) res->begin_round(round, false, res_get, res_set, {});
+    if (res != nullptr) res->begin_round(round, res_get, res_set);
     const std::int64_t hook_start = stats.timed ? gca::steady_now_ns() : 0;
     const std::size_t hooked = backend.sweep_bounds(hook_bounds, hook_body);
     cur.swap(next);
@@ -565,7 +606,7 @@ QueryResult solve_sync(const graph::CsrGraph& csr, const RunOptions& options,
              jump_start);
       }
     }
-    if (res != nullptr) res->end_round(round, false, res_get, res_set, {});
+    if (res != nullptr) res->end_round(round, res_get, res_set);
   }
 
   result.labels = std::move(cur);
@@ -579,324 +620,9 @@ QueryResult solve_sync(const graph::CsrGraph& csr, const RunOptions& options,
 }
 
 // ---------------------------------------------------------------------------
-// Asynchronous mode — in-place concurrent CAS-min label propagation.
-// ---------------------------------------------------------------------------
-
-/// Lowers `slot` to at most `value`; returns true iff *this caller* made
-/// it smaller.  Relaxed ordering is sufficient: labels form a monotone
-/// non-increasing lattice where every stored value is the id of a
-/// same-component vertex, so a stale read can only delay a decrease, never
-/// un-make one, and the round barrier (pool epoch / thread join) orders
-/// rounds against each other (Liu–Tarjan; DESIGN.md §14).
-inline bool fetch_min(std::atomic<NodeId>& slot, NodeId value) {
-  NodeId cur = slot.load(std::memory_order_relaxed);
-  while (value < cur) {
-    if (slot.compare_exchange_weak(cur, value, std::memory_order_relaxed,
-                                   std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// The async generation loop.  Per round:
-///
-///  * hook pass — CAS-min label propagation over the arcs: a full round
-///    partitions the *arc array* (not the vertex array) into count-equal
-///    lane ranges aligned to `CsrGraph::kLineVertices` arcs, so a hub
-///    vertex's row is split across lanes and star graphs stay balanced
-///    (splitting a row is safe precisely because the update is a CAS-min
-///    on the owner's label, not a private write);  a frontier round sweeps
-///    only the worklist of vertices whose label changed last round, lanes
-///    claiming `kWorklistChunk`-entry slices off a shared atomic cursor,
-///    and updates *both* endpoints of every arc it scans (so the changed
-///    vertex's neighbourhood is covered without materialising N(changed));
-///  * shortcut pass — full O(n) pointer jumping with root chase:
-///    label[v] <- root(label[v]), compressing label chains in one pass
-///    (labels satisfy label[x] <= x, so the chase is a strictly
-///    decreasing walk and always terminates).
-///
-/// Vertices whose label changed (in either pass) are recorded in per-lane
-/// leased bitsets (gca::ScratchLease — zero steady-state allocation) and
-/// merged into a shared atomic bitset with one fetch_or per non-zero word;
-/// the next round's worklist is built from that snapshot when the changed
-/// count is at or below `sparse_frontier * n`, and the round falls back to
-/// the full arc sweep above it.  Convergence: a round with zero changes in
-/// both passes is a global fixpoint — any still-violated arc (u, v) with
-/// label[u] < label[v] would require u's label to have changed after the
-/// last full sweep of that arc, which puts u in the current worklist, and
-/// u's row was just swept without effect.
-QueryResult solve_async(const graph::CsrGraph& csr, const RunOptions& options,
-                        const StopState& stop, const SweepBackend& backend,
-                        ResilienceState* res) {
-  QueryResult result;
-  const NodeId n = csr.node_count();
-  const std::vector<std::size_t>& offsets = csr.offsets();
-  const std::vector<NodeId>& arcs = csr.arcs();
-  const std::size_t arc_count = arcs.size();
-  const unsigned lanes = backend.lanes();
-
-  SweepStats stats;
-  stats.csr = &csr;
-  stats.enabled = options.instrument || options.sink != nullptr;
-  stats.timed = options.sink != nullptr;
-  const auto emit = [&](gca::GenerationStats&& sweep_stats,
-                        std::int64_t start_ns) {
-    if (stats.timed) {
-      sweep_stats.start_ns = static_cast<std::uint64_t>(start_ns);
-      sweep_stats.duration_ns =
-          static_cast<std::uint64_t>(gca::steady_now_ns() - start_ns);
-      options.sink->on_step(sweep_stats);
-    }
-    if (options.instrument) result.sweeps.push_back(std::move(sweep_stats));
-  };
-
-  // One atomic label slot per vertex, initialised before the first
-  // dispatch (the dispatch barrier publishes the stores to every lane).
-  std::unique_ptr<std::atomic<NodeId>[]> label(new std::atomic<NodeId>[n]);
-  for (NodeId v = 0; v < n; ++v) {
-    label[v].store(res != nullptr && !res->seed.empty() ? res->seed[v] : v,
-                   std::memory_order_relaxed);
-  }
-
-  // Shared changed bitset (atomic words, fetch_or-merged from the per-lane
-  // leased bitsets) and its plain snapshot for worklist extraction.
-  const std::size_t word_count = (std::size_t{n} + 63) / 64;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> changed_bits(
-      new std::atomic<std::uint64_t>[word_count]);
-
-  // Between-rounds label view for the resilience hooks.  Hooks run with
-  // every lane quiesced (between backend dispatches), so relaxed loads and
-  // stores are plain accesses in effect.  `drop_fn` clears the changed
-  // bitset — the stale-frontier fault site: the labels keep their values
-  // but the next worklist forgets who moved.
-  const auto res_get = [&label](NodeId v) {
-    return label[v].load(std::memory_order_relaxed);
-  };
-  const auto res_set = [&label](NodeId v, NodeId l) {
-    label[v].store(l, std::memory_order_relaxed);
-  };
-  std::function<void()> drop_fn;
-  if (res != nullptr) {
-    drop_fn = [&changed_bits, word_count] {
-      for (std::size_t w = 0; w < word_count; ++w) {
-        changed_bits[w].store(0, std::memory_order_relaxed);
-      }
-    };
-    res->start_attempt(res_get);
-  }
-
-  // Arc-range lane boundaries for full hook rounds: count-equal over the
-  // arc array, rounded down to a kLineVertices-arc grain.
-  std::vector<std::size_t> arc_bounds(std::size_t{lanes} + 1, arc_count);
-  arc_bounds[0] = 0;
-  for (unsigned k = 1; k < lanes; ++k) {
-    std::size_t b = arc_count * k / lanes;
-    b -= b % graph::CsrGraph::kLineVertices;
-    arc_bounds[k] = std::max(arc_bounds[k - 1], std::min(b, arc_count));
-  }
-
-  const double fraction =
-      std::clamp(options.sparse_frontier, 0.0, 1.0);
-  const auto frontier_limit =
-      static_cast<std::size_t>(fraction * static_cast<double>(n));
-
-  std::vector<LaneTally> hook_tally(lanes);
-  std::vector<LaneTally> jump_tally(lanes);
-  gca::Worklist worklist;
-  bool use_worklist = false;  // round 0 must sweep every arc
-
-  const auto set_bit = [](std::uint64_t* words, NodeId v) {
-    words[v >> 6] |= std::uint64_t{1} << (v & 63);
-  };
-  const auto merge_bits = [&](const std::uint64_t* local) {
-    for (std::size_t w = 0; w < word_count; ++w) {
-      if (local[w] != 0) {
-        changed_bits[w].fetch_or(local[w], std::memory_order_relaxed);
-      }
-    }
-  };
-
-  const unsigned max_rounds = round_guard(n, 16);
-  for (unsigned round = 0;; ++round) {
-    GCALIB_ASSERT_MSG(round < max_rounds,
-                      "sparse-csr: async rounds failed to converge");
-    if (res != nullptr) res->begin_round(round, true, res_get, res_set, drop_fn);
-    for (std::size_t w = 0; w < word_count; ++w) {
-      changed_bits[w].store(0, std::memory_order_relaxed);
-    }
-    for (LaneTally& t : hook_tally) t = {};
-    for (LaneTally& t : jump_tally) t = {};
-
-    // --- hook pass -------------------------------------------------------
-    const std::int64_t hook_start = stats.timed ? gca::steady_now_ns() : 0;
-    std::atomic<std::size_t> cursor{0};
-    if (use_worklist) {
-      const std::uint32_t* items = worklist.data();
-      const std::size_t item_count = worklist.size();
-      backend.run([&](unsigned lane) {
-        gca::ScratchLease<std::uint64_t> local(word_count);
-        std::fill_n(local.data(), word_count, std::uint64_t{0});
-        std::size_t changes = 0;
-        std::size_t reads = 0;
-        std::size_t budget = kStopPollStride;
-        for (std::size_t begin =
-                 cursor.fetch_add(kWorklistChunk, std::memory_order_relaxed);
-             begin < item_count;
-             begin =
-                 cursor.fetch_add(kWorklistChunk, std::memory_order_relaxed)) {
-          const std::size_t end =
-              std::min(item_count, begin + kWorklistChunk);
-          for (std::size_t i = begin; i < end; ++i) {
-            const NodeId v = items[i];
-            NodeId lv = label[v].load(std::memory_order_relaxed);
-            const std::size_t row_end = offsets[std::size_t{v} + 1];
-            reads += row_end - offsets[v];
-            for (std::size_t a = offsets[v]; a < row_end; ++a) {
-              const NodeId u = arcs[a];
-              const NodeId lu = label[u].load(std::memory_order_relaxed);
-              if (lu < lv) {
-                if (fetch_min(label[v], lu)) {
-                  set_bit(local.data(), v);
-                  ++changes;
-                }
-                // lu is now a former value of label[v]: a valid (possibly
-                // stale) upper bound for the reverse-direction updates.
-                lv = lu;
-              } else if (lv < lu) {
-                if (fetch_min(label[u], lv)) {
-                  set_bit(local.data(), u);
-                  ++changes;
-                }
-              }
-              if (stop.armed() && --budget == 0) {
-                budget = kStopPollStride;
-                stop.poll();
-              }
-            }
-          }
-        }
-        merge_bits(local.data());
-        hook_tally[lane].changes = changes;
-        hook_tally[lane].reads = reads;
-        if (stop.armed()) stop.poll();
-      });
-    } else {
-      backend.run([&](unsigned lane) {
-        gca::ScratchLease<std::uint64_t> local(word_count);
-        std::fill_n(local.data(), word_count, std::uint64_t{0});
-        std::size_t changes = 0;
-        const std::size_t a0 = arc_bounds[lane];
-        const std::size_t a1 = arc_bounds[lane + 1];
-        if (a0 < a1) {
-          // Owner of the first arc: the last vertex whose offset is <= a0.
-          NodeId v = static_cast<NodeId>(
-              std::upper_bound(offsets.begin(), offsets.end(), a0) -
-              offsets.begin() - 1);
-          std::size_t budget = kStopPollStride;
-          for (std::size_t a = a0; a < a1; ++a) {
-            while (offsets[std::size_t{v} + 1] <= a) ++v;
-            // One direction per arc suffices in a full sweep: the reverse
-            // arc is in the array too (possibly in another lane's range).
-            const NodeId lu = label[arcs[a]].load(std::memory_order_relaxed);
-            if (fetch_min(label[v], lu)) {
-              set_bit(local.data(), v);
-              ++changes;
-            }
-            if (stop.armed() && --budget == 0) {
-              budget = kStopPollStride;
-              stop.poll();
-            }
-          }
-        }
-        merge_bits(local.data());
-        hook_tally[lane].changes = changes;
-        hook_tally[lane].reads = a1 - a0;
-        if (stop.armed()) stop.poll();
-      });
-    }
-    const std::size_t swept =
-        use_worklist ? worklist.size() : static_cast<std::size_t>(n);
-    const std::size_t hooked = reduce_changes(hook_tally);
-    if (stats.enabled) {
-      emit(stats.async_stats(result.generations,
-                             use_worklist ? "cas-hook-frontier" : "cas-hook",
-                             round, swept, hooked, hook_tally[0].reads),
-           hook_start);
-    }
-    ++result.generations;
-
-    // --- shortcut pass (full, O(n) with root chase) ----------------------
-    const std::int64_t jump_start = stats.timed ? gca::steady_now_ns() : 0;
-    backend.run([&](unsigned lane) {
-      gca::ScratchLease<std::uint64_t> local(word_count);
-      std::fill_n(local.data(), word_count, std::uint64_t{0});
-      std::size_t changes = 0;
-      const std::size_t chunk = (std::size_t{n} + lanes - 1) / lanes;
-      const std::size_t begin = std::min<std::size_t>(n, chunk * lane);
-      const std::size_t end = std::min<std::size_t>(n, begin + chunk);
-      std::size_t since_poll = 0;
-      for (std::size_t v = begin; v < end; ++v) {
-        NodeId l = label[v].load(std::memory_order_relaxed);
-        NodeId r = label[l].load(std::memory_order_relaxed);
-        while (r < l) {  // labels satisfy label[x] <= x: strictly decreasing
-          l = r;
-          r = label[l].load(std::memory_order_relaxed);
-        }
-        if (fetch_min(label[v], l)) {
-          set_bit(local.data(), static_cast<NodeId>(v));
-          ++changes;
-        }
-        if (stop.armed() && ++since_poll >= kStopPollStride) {
-          since_poll = 0;
-          stop.poll();
-        }
-      }
-      merge_bits(local.data());
-      jump_tally[lane].changes = changes;
-      if (stop.armed()) stop.poll();
-    });
-    const std::size_t jumped = reduce_changes(jump_tally);
-    if (stats.enabled) {
-      emit(stats.async_stats(result.generations, "shortcut", round, n, jumped,
-                             n),
-           jump_start);
-    }
-    ++result.generations;
-
-    // End-of-round hooks run *before* the frontier decision, so a dropped
-    // changed bitset (the stale-frontier fault site) poisons exactly the
-    // worklist the next round would have trusted.
-    if (res != nullptr) res->end_round(round, true, res_get, res_set, drop_fn);
-
-    const std::size_t changed = hooked + jumped;
-    if (changed == 0) break;
-
-    // --- frontier decision for the next round ----------------------------
-    use_worklist = frontier_limit > 0 && changed <= frontier_limit;
-    if (use_worklist) {
-      gca::ScratchLease<std::uint64_t> snapshot(word_count);
-      for (std::size_t w = 0; w < word_count; ++w) {
-        snapshot.data()[w] = changed_bits[w].load(std::memory_order_relaxed);
-      }
-      worklist.assign_from_bits(snapshot.data(), word_count);
-    }
-  }
-
-  result.labels.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    result.labels[v] = label[v].load(std::memory_order_relaxed);
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    if (result.labels[v] == v) ++result.components;
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
 // Resilient driver — durable GSKP resume plus the recovery ladder:
-// detect -> rollback to the last anchor (re-run in deterministic sync mode)
-// -> fresh restart -> fail with the accumulated diagnosis (DESIGN.md §15).
+// detect -> rollback to the last anchor -> fresh restart -> fail with the
+// accumulated diagnosis (DESIGN.md §15).
 // ---------------------------------------------------------------------------
 
 /// Builds and verifies the spanning-forest certificate for `result`; any
@@ -913,7 +639,7 @@ void certify_or_throw(const graph::CsrGraph& csr, const QueryResult& result) {
 
 QueryResult solve_resilient(const graph::CsrGraph& csr,
                             const RunOptions& options, const StopState& stop,
-                            const SweepBackend& backend, gca::SparseMode mode) {
+                            const SweepBackend& backend) {
   const NodeId n = csr.node_count();
 
   ResilienceState res;
@@ -955,16 +681,9 @@ QueryResult solve_resilient(const graph::CsrGraph& csr,
     // kNotFound is the normal cold start: silent.
   }
 
-  // Rollback re-runs happen in the double-buffered synchronous mode
-  // regardless of the requested mode: deterministic, monitorable between
-  // every sweep, the degraded tier the dense ladder's sync re-run mirrors.
-  bool degraded = false;
   for (;;) {
     try {
-      const bool sync = mode == gca::SparseMode::kSync || degraded;
-      QueryResult result = sync
-                               ? solve_sync(csr, options, stop, backend, &res)
-                               : solve_async(csr, options, stop, backend, &res);
+      QueryResult result = solve_sync(csr, options, stop, backend, &res);
       // The certificate is the end-of-run oracle: monitors are lattice
       // checks and cannot see a silently pinned vertex, but a spanning
       // forest over the final labels can.
@@ -992,7 +711,6 @@ QueryResult solve_resilient(const graph::CsrGraph& csr,
           rollbacks < options.recovery.max_rollbacks) {
         ++rollbacks;
         res.seed = res.anchor;  // last state the monitors believed in
-        degraded = true;
         continue;
       }
       if (options.recovery.enabled() &&
@@ -1000,7 +718,6 @@ QueryResult solve_resilient(const graph::CsrGraph& csr,
         ++restarts;
         res.seed.clear();  // identity labels: the run of record, replayed
         res.anchor.clear();
-        degraded = false;
         continue;
       }
       std::string joined =
@@ -1021,8 +738,7 @@ QueryResult solve_resilient(const graph::CsrGraph& csr,
 
 QueryResult SparseCcSolver::solve(const SolverInput& input,
                                   const RunOptions& options) const {
-  const graph::CsrGraph& csr = input.csr();
-  const NodeId n = csr.node_count();
+  const NodeId n = input.node_count();
   if (n == 0) return {};
 
   GCALIB_EXPECTS_MSG(options.threads >= 1,
@@ -1037,34 +753,26 @@ QueryResult SparseCcSolver::solve(const SolverInput& input,
   if (options.deadline_ms > 0) {
     stop.deadline_ns = gca::steady_deadline_ns(options.deadline_ms);
   }
-  const SweepBackend backend(options.threads, options.policy, n);
 
-  // kAuto resolves to the concurrent path exactly when the sweep is
-  // parallel: with one lane the CAS-min loop is pure overhead, and the
-  // synchronous reference is the stronger default (bit-identical history,
-  // full congestion instrumentation).  Both paths converge to the same
-  // canonical min-id labeling (DESIGN.md §14), so the choice is invisible
-  // in the result.
-  gca::SparseMode mode = options.sparse_mode;
-  if (mode == gca::SparseMode::kAuto) {
-    mode = backend.lanes() > 1 ? gca::SparseMode::kAsync
-                               : gca::SparseMode::kSync;
-  }
-
-  // The fast path (null resilience context) is the PR-9 round loops,
-  // untouched: everything below only engages when a resilience feature was
-  // asked for.
+  // The link pass has no rounds, so every round-loop feature — the
+  // resilience hooks, monitors, certificate, checkpoints, recovery — and an
+  // explicit kSync run on the sync hook + jump reference.  Both produce the
+  // same canonical min-id labeling (DESIGN.md §14).
   const bool resilient = options.sparse_monitors || options.certify ||
                          static_cast<bool>(options.sparse_before_round) ||
                          static_cast<bool>(options.sparse_after_round) ||
                          !options.checkpoint_dir.empty() ||
                          options.recovery.enabled();
-  QueryResult result =
-      resilient ? solve_resilient(csr, options, stop, backend, mode)
-                : (mode == gca::SparseMode::kSync
-                       ? solve_sync(csr, options, stop, backend, nullptr)
-                       : solve_async(csr, options, stop, backend, nullptr));
-  if (options.self_check) self_check_labels(csr, result);
+  QueryResult result;
+  if (!resilient && options.sparse_mode == gca::SparseMode::kAuto) {
+    result = solve_link(input, options, stop);
+  } else {
+    const graph::CsrGraph& csr = input.csr();
+    const SweepBackend backend(options.threads, options.policy, n);
+    result = resilient ? solve_resilient(csr, options, stop, backend)
+                       : solve_sync(csr, options, stop, backend, nullptr);
+  }
+  if (options.self_check) self_check_labels(input, result);
   return result;
 }
 

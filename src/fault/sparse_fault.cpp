@@ -14,7 +14,6 @@ const char* to_string(SparseFaultSite site) {
     case SparseFaultSite::kLabelBitFlip: return "label-bit-flip";
     case SparseFaultSite::kStuckVertex: return "stuck-vertex";
     case SparseFaultSite::kLostUpdate: return "lost-update";
-    case SparseFaultSite::kStaleFrontier: return "stale-frontier";
   }
   return "?";
 }
@@ -64,7 +63,7 @@ SparseFaultPlan SparseFaultPlan::poisson(NodeId n, double rate,
       SparseFaultEvent event;
       event.round = static_cast<unsigned>(window * u * u);
       event.vertex = static_cast<NodeId>(rng.below(n));
-      switch (rng.below(4)) {
+      switch (rng.below(3)) {
         case 0:
           event.site = SparseFaultSite::kLabelBitFlip;
           event.mask = std::uint32_t{1} << rng.below(32);
@@ -77,11 +76,8 @@ SparseFaultPlan SparseFaultPlan::poisson(NodeId n, double rate,
               static_cast<NodeId>(rng.below(std::uint64_t{event.vertex} + 1));
           event.stuck_rounds = 1 + static_cast<unsigned>(rng.below(3));
           break;
-        case 2:
-          event.site = SparseFaultSite::kLostUpdate;
-          break;
         default:
-          event.site = SparseFaultSite::kStaleFrontier;
+          event.site = SparseFaultSite::kLostUpdate;
           break;
       }
       plan.add(event);
@@ -126,8 +122,7 @@ void SparseInjector::before_round(const core::SparseRoundContext& ctx) {
     armed.fired = true;
     ++fired_;
     const SparseFaultEvent& event = armed.event;
-    GCALIB_EXPECTS_MSG(event.site == SparseFaultSite::kStaleFrontier ||
-                           event.vertex < ctx.n,
+    GCALIB_EXPECTS_MSG(event.vertex < ctx.n,
                        "sparse fault event addresses a vertex outside the graph");
     switch (event.site) {
       case SparseFaultSite::kLabelBitFlip:
@@ -140,11 +135,8 @@ void SparseInjector::before_round(const core::SparseRoundContext& ctx) {
         break;
       case SparseFaultSite::kLostUpdate:
         // Record the round-start value; the after-round hook reverts to it,
-        // as if the round's CAS on this vertex never landed.
+        // as if the round's write to this vertex never landed.
         reverts_.push_back(Revert{event.vertex, ctx.get(event.vertex)});
-        break;
-      case SparseFaultSite::kStaleFrontier:
-        drop_pending_ = true;
         break;
     }
   }
@@ -155,11 +147,6 @@ void SparseInjector::after_round(const core::SparseRoundContext& ctx) {
     ctx.set(revert.vertex, revert.value);
   }
   reverts_.clear();
-  if (drop_pending_) {
-    // Sync mode has no frontier; the drop degenerates to a no-op there.
-    if (ctx.drop_frontier) ctx.drop_frontier();
-    drop_pending_ = false;
-  }
   // Stuck vertices overwrite whatever the round just computed.
   std::erase_if(pins_, [&ctx](Pin& pin) {
     ctx.set(pin.vertex, pin.value);
@@ -171,7 +158,6 @@ void SparseInjector::reset() {
   for (Armed& armed : events_) armed.fired = false;
   pins_.clear();
   reverts_.clear();
-  drop_pending_ = false;
   fired_ = 0;
 }
 

@@ -3,7 +3,8 @@
 // The dense injector (fault/fault_plan.hpp) perturbs the (a, d, p) cell
 // registers of the field; the CSR engine has no field — its whole mutable
 // state is the label plane.  The sparse fault taxonomy therefore targets
-// the label lattice and the async engine's frontier machinery:
+// the label lattice of the sync round loop, which every injected solve
+// runs on (the round hooks move a solve off the link pass):
 //
 //   * label bit flip — XOR a mask into one vertex's label (an SEU in the
 //     label store).  A raised bit trips the per-round lattice monitors; a
@@ -14,12 +15,8 @@
 //     cannot see a frozen label; the end-of-run certificate's edge-closure
 //     check can.
 //   * lost update — revert a vertex's label to its round-start value after
-//     the round: the CAS that lowered it never landed.  Self-heals (the
+//     the round: the write that lowered it never landed.  Self-heals (the
 //     next sweep re-lowers it); the run just converges later.
-//   * stale frontier — discard the async round's changed bitset, so the
-//     next worklist forgets every vertex that moved.  Can force premature
-//     convergence; the certificate catches the un-propagated labels.
-//     No-op in sync mode (there is no frontier to poison).
 //
 // Transient semantics, exactly as in the dense plan: every event fires at
 // most once per arm cycle, so a recovery rollback re-executes the window
@@ -39,7 +36,6 @@ enum class SparseFaultSite : std::uint8_t {
   kLabelBitFlip,   ///< XOR a mask into one vertex's label
   kStuckVertex,    ///< pin a vertex's label for some rounds
   kLostUpdate,     ///< the round's update to a vertex never lands
-  kStaleFrontier,  ///< the round's changed bitset is discarded (async)
 };
 
 [[nodiscard]] const char* to_string(SparseFaultSite site);
@@ -47,8 +43,8 @@ enum class SparseFaultSite : std::uint8_t {
 /// One injectable sparse fault.
 struct SparseFaultEvent {
   SparseFaultSite site = SparseFaultSite::kLabelBitFlip;
-  unsigned round = 0;          ///< hook/shortcut round it strikes at
-  graph::NodeId vertex = 0;    ///< victim vertex (ignored by kStaleFrontier)
+  unsigned round = 0;          ///< hook/jump round it strikes at
+  graph::NodeId vertex = 0;    ///< victim vertex
   std::uint32_t mask = 1;      ///< bits XORed by a label flip
   graph::NodeId stuck_value = 0;  ///< value a stuck vertex is pinned to
   unsigned stuck_rounds = 2;   ///< rounds the pin lasts (>= 1)
@@ -121,7 +117,6 @@ class SparseInjector {
   std::vector<Armed> events_;
   std::vector<Pin> pins_;
   std::vector<Revert> reverts_;
-  bool drop_pending_ = false;
   std::size_t fired_ = 0;
 };
 

@@ -53,8 +53,6 @@ const char* to_string(SparseMode mode) {
   switch (mode) {
     case SparseMode::kSync:
       return "sync";
-    case SparseMode::kAsync:
-      return "async";
     case SparseMode::kAuto:
       return "auto";
   }
@@ -64,10 +62,9 @@ const char* to_string(SparseMode mode) {
 
 SparseMode parse_sparse_mode(const std::string& name) {
   if (name == "sync") return SparseMode::kSync;
-  if (name == "async") return SparseMode::kAsync;
   if (name == "auto") return SparseMode::kAuto;
   GCALIB_EXPECTS_MSG(false, "unknown sparse mode '" + name +
-                                "' (expected sync | async | auto)");
+                                "' (expected sync | auto)");
   return SparseMode::kAuto;
 }
 

@@ -65,7 +65,7 @@ enum class SweepMode {
 /// Inverse of `to_string`; throws ContractViolation on unknown names.
 [[nodiscard]] SweepMode parse_sweep_mode(const std::string& name);
 
-/// How the CSR substrate's generation loop runs (DESIGN.md §14).
+/// Which engine the CSR solver runs (DESIGN.md §14).
 ///
 /// Only consulted by the CSR engine (core::SparseCcSolver); the dense field
 /// ignores it.
@@ -73,25 +73,17 @@ enum class SweepMode {
 ///  * kSync — the double-buffered synchronous hook/jump sweep: every sweep
 ///    is a pure function of the previous label buffer, so the labeling and
 ///    the per-sweep statistics are bit-identical across all execution
-///    policies and thread counts.  This is the golden reference the
-///    concurrent mode is cross-validated against.
-///  * kAsync — in-place atomic CAS-min label propagation (Liu–Tarjan):
-///    lanes lower labels concurrently without a per-sweep barrier copy,
-///    sweeping edge-partitioned chunks and, once the set of still-moving
-///    vertices shrinks, exact frontier worklists.  Intermediate states are
-///    schedule-dependent, but the monotone label lattice guarantees the
-///    *converged* labeling is the same canonical min-node-id labeling the
-///    synchronous mode produces.
-///  * kAuto — kAsync whenever the sweep actually runs parallel
-///    (threads > 1 on a parallel policy), kSync otherwise: single-threaded,
-///    the reference sweep is both canonical and free of atomics.
+///    policies and thread counts.  The golden reference.
+///  * kAuto — the one-lane link-by-min union-find pass over the edges,
+///    unless a round-loop feature (the sparse resilience hooks, monitors,
+///    certificate, checkpoints, recovery) asks for the sync loop.  Same
+///    canonical min-node-id labeling (DESIGN.md §14).
 enum class SparseMode {
-  kSync,   ///< double-buffered synchronous sweeps — golden reference
-  kAsync,  ///< concurrent CAS-min propagation with frontier worklists
-  kAuto,   ///< async iff the sweep is parallel
+  kSync,  ///< double-buffered synchronous sweeps — golden reference
+  kAuto,  ///< the link pass unless a round-loop feature is set
 };
 
-/// Name of a sparse mode ("sync" / "async" / "auto").
+/// Name of a sparse mode ("sync" / "auto").
 [[nodiscard]] const char* to_string(SparseMode mode);
 
 /// Inverse of `to_string`; throws ContractViolation on unknown names.
@@ -187,7 +179,7 @@ struct EngineOptions {
   bool instrumentation = true;  ///< collect per-step congestion statistics
   bool record_access = false;   ///< record individual (reader, target) edges
   SweepMode sweep = SweepMode::kSparse;  ///< honour advertised active regions
-  /// Generation-loop mode of the CSR engine (see `SparseMode`); carried
+  /// Engine of the CSR solver (see `SparseMode`); carried
   /// here so one validated options object configures either engine — the
   /// `Engine` template ignores it.
   SparseMode sparse_mode = SparseMode::kAuto;

@@ -1,6 +1,7 @@
 #include "graph/csr_graph.hpp"
 
 #include <algorithm>
+#include <mutex>
 
 #include "common/assert.hpp"
 
@@ -9,77 +10,95 @@ namespace gcalib::graph {
 CsrGraph CsrGraph::from_graph(const Graph& g) {
   CsrGraph out;
   out.n_ = g.node_count();
-  out.offsets_.assign(std::size_t{out.n_} + 1, 0);
-  out.neighbors_.reserve(2 * g.edge_count());
+  out.adjacency_ = std::make_shared<Adjacency>();
+  Adjacency& adj = *out.adjacency_;
+  adj.offsets.assign(std::size_t{out.n_} + 1, 0);
+  adj.arcs.reserve(2 * g.edge_count());
   for (NodeId u = 0; u < out.n_; ++u) {
-    const std::vector<NodeId>& adj = g.neighbors(u);
-    out.neighbors_.insert(out.neighbors_.end(), adj.begin(), adj.end());
-    out.offsets_[u + 1] = out.neighbors_.size();
+    const std::vector<NodeId>& row = g.neighbors(u);
+    adj.arcs.insert(adj.arcs.end(), row.begin(), row.end());
+    adj.offsets[u + 1] = adj.arcs.size();
   }
+  adj.ready.store(true, std::memory_order_release);
   return out;
 }
 
 CsrGraph CsrGraph::from_edges(NodeId n, const std::vector<Edge>& edges) {
-  CsrGraph out;
-  out.n_ = n;
-  out.offsets_.assign(std::size_t{n} + 1, 0);
-  if (n == 0) return out;
-
-  // Two-pass counting sort over the arcs: O(n + m) time, no comparison
-  // sort over the full arc array.  Degrees first (offsets_[u + 1] counts
-  // arcs of u), then an exclusive scan, then placement.
   for (const Edge& e : edges) {
     GCALIB_EXPECTS_MSG(e.u < n && e.v < n,
                        "csr: edge endpoint out of range");
-    if (e.u == e.v) continue;  // self-loops never label anything
-    ++out.offsets_[std::size_t{e.u} + 1];
-    ++out.offsets_[std::size_t{e.v} + 1];
   }
-  for (std::size_t u = 0; u < n; ++u) {
-    out.offsets_[u + 1] += out.offsets_[u];
-  }
-  out.neighbors_.resize(out.offsets_[n]);
-  std::vector<std::size_t> cursor(out.offsets_.begin(),
-                                  out.offsets_.end() - 1);
-  for (const Edge& e : edges) {
-    if (e.u == e.v) continue;
-    out.neighbors_[cursor[e.u]++] = e.v;
-    out.neighbors_[cursor[e.v]++] = e.u;
-  }
-  // Per-node sort + dedup keeps `neighbors(u)` ascending and collapses
-  // parallel edges; compaction rewrites offsets in place.
-  std::size_t write = 0;
-  std::size_t row_begin = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    const std::size_t row_end = out.offsets_[u + 1];
-    std::sort(out.neighbors_.begin() + static_cast<std::ptrdiff_t>(row_begin),
-              out.neighbors_.begin() + static_cast<std::ptrdiff_t>(row_end));
-    NodeId last = n;  // impossible neighbour value
-    for (std::size_t k = row_begin; k < row_end; ++k) {
-      if (out.neighbors_[k] == last) continue;
-      last = out.neighbors_[k];
-      out.neighbors_[write++] = last;
-    }
-    row_begin = row_end;
-    out.offsets_[u + 1] = write;
-  }
-  out.neighbors_.resize(write);
+  CsrGraph out;
+  out.n_ = n;
+  out.keeps_pairs_ = true;
+  out.pairs_ = edges;
+  out.adjacency_ = std::make_shared<Adjacency>();
   return out;
+}
+
+const CsrGraph::Adjacency& CsrGraph::empty_adjacency() {
+  static const Adjacency empty;  // offsets {0}, no arcs
+  return empty;
+}
+
+void CsrGraph::build_once() const {
+  Adjacency& adj = *adjacency_;
+  std::call_once(adj.built, [&] {
+    std::vector<std::size_t>& offsets = adj.offsets;
+    std::vector<NodeId>& arcs = adj.arcs;
+    offsets.assign(std::size_t{n_} + 1, 0);
+    // Two-pass counting sort over the arcs: O(n + m) time, no comparison
+    // sort over the full arc array.  Degrees first (offsets[u + 1] counts
+    // arcs of u), then an exclusive scan, then placement.
+    for (const Edge& e : pairs_) {
+      if (e.u == e.v) continue;  // self-loops never label anything
+      ++offsets[std::size_t{e.u} + 1];
+      ++offsets[std::size_t{e.v} + 1];
+    }
+    for (std::size_t u = 0; u < n_; ++u) offsets[u + 1] += offsets[u];
+    arcs.resize(offsets[n_]);
+    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (const Edge& e : pairs_) {
+      if (e.u == e.v) continue;
+      arcs[cursor[e.u]++] = e.v;
+      arcs[cursor[e.v]++] = e.u;
+    }
+    // Per-node sort + dedup keeps `neighbors(u)` ascending and collapses
+    // parallel edges; compaction rewrites offsets in place.
+    std::size_t write = 0;
+    std::size_t row_begin = 0;
+    for (NodeId u = 0; u < n_; ++u) {
+      const std::size_t row_end = offsets[u + 1];
+      std::sort(arcs.begin() + static_cast<std::ptrdiff_t>(row_begin),
+                arcs.begin() + static_cast<std::ptrdiff_t>(row_end));
+      NodeId last = n_;  // impossible neighbour value
+      for (std::size_t k = row_begin; k < row_end; ++k) {
+        if (arcs[k] == last) continue;
+        last = arcs[k];
+        arcs[write++] = last;
+      }
+      row_begin = row_end;
+      offsets[u + 1] = write;
+    }
+    arcs.resize(write);
+    adj.ready.store(true, std::memory_order_release);
+  });
 }
 
 std::vector<NodeId> CsrGraph::edge_balanced_boundaries(unsigned parts) const {
   GCALIB_EXPECTS_MSG(parts >= 1, "csr: partition needs at least one part");
+  const std::vector<std::size_t>& prefix = offsets();
   std::vector<NodeId> bounds(std::size_t{parts} + 1, n_);
   bounds[0] = 0;
-  const std::size_t total_arcs = offsets_[n_];
+  const std::size_t total_arcs = prefix[n_];
   for (unsigned k = 1; k < parts; ++k) {
-    // offsets_ is the (non-decreasing) degree prefix sum, so the first
+    // prefix is the (non-decreasing) degree prefix sum, so the first
     // vertex whose prefix exceeds the target arc count is one upper_bound.
     const std::size_t target = total_arcs * k / parts;
     const auto it =
-        std::upper_bound(offsets_.begin(), offsets_.end(), target);
-    NodeId b = static_cast<NodeId>(it - offsets_.begin());
-    if (b > 0) --b;  // offsets_[b] <= target < offsets_[b + 1]
+        std::upper_bound(prefix.begin(), prefix.end(), target);
+    NodeId b = static_cast<NodeId>(it - prefix.begin());
+    if (b > 0) --b;  // prefix[b] <= target < prefix[b + 1]
     b -= b % kLineVertices;
     // Keep the sequence monotone; empty ranges are fine (a lane with no
     // vertices just returns immediately).
@@ -106,8 +125,8 @@ std::uint64_t CsrGraph::content_hash() const {
     }
   };
   mix(n_);
-  for (const std::size_t offset : offsets_) mix(offset);
-  for (const NodeId arc : neighbors_) mix(arc);
+  for (const std::size_t offset : offsets()) mix(offset);
+  for (const NodeId arc : arcs()) mix(arc);
   return hash;
 }
 

@@ -4,16 +4,25 @@
 // incremental construction but not bulk sweeps.  `CsrGraph` stores the 2m
 // directed arcs in two flat arrays (offsets + neighbour ids), so building
 // it and sweeping it are both O(n + m) with no per-node allocation — the
-// representation behind the O(m)-work label propagation solver
+// representation behind the sync hook + pointer-jump reference
 // (core/sparse_cc_solver.hpp, DESIGN.md §12).
 //
-// The structure is immutable after construction: solvers double-buffer
-// labels *next to* it and never mutate the adjacency, which is what makes
+// A graph built by `from_edges` keeps the checked pairs it was given and
+// builds offsets and arcs only when an adjacency accessor first asks for
+// them: the production link pass labels straight from the pairs
+// (`for_each_edge`) and never pays for adjacency it does not read.  The
+// build runs once, thread-safely, and copies of a graph share it.
+//
+// The structure is immutable after construction: solvers keep labels
+// *next to* it and never mutate the adjacency, which is what makes
 // parallel sweeps over it race-free without any per-edge synchronisation.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -31,33 +40,60 @@ class CsrGraph {
   /// Builds the CSR view of an existing `Graph` (O(n + m)).
   [[nodiscard]] static CsrGraph from_graph(const Graph& g);
 
-  /// Builds directly from an edge list without per-node lists — the
-  /// constructor for millions of edges.
-  /// Self-loops are dropped and duplicate edges collapsed, matching
-  /// `Graph::from_edges` semantics.  Throws ContractViolation on an
-  /// endpoint >= n.
+  /// Checks and keeps an edge list, for millions of edges: O(m), no
+  /// per-node lists and no adjacency until an accessor asks for it.
+  /// The adjacency drops self-loops and collapses duplicate edges,
+  /// matching `Graph::from_edges` semantics.  Throws ContractViolation on
+  /// an endpoint >= n.
   [[nodiscard]] static CsrGraph from_edges(NodeId n,
                                            const std::vector<Edge>& edges);
 
   [[nodiscard]] NodeId node_count() const { return n_; }
-  /// Undirected edge count m (arc count is 2m).
-  [[nodiscard]] std::size_t edge_count() const { return neighbors_.size() / 2; }
+  /// Undirected edge count m (arc count is 2m), after self-loops were
+  /// dropped and duplicates collapsed.
+  [[nodiscard]] std::size_t edge_count() const {
+    return adjacency().arcs.size() / 2;
+  }
 
   [[nodiscard]] NodeId degree(NodeId u) const {
-    return static_cast<NodeId>(offsets_[u + 1] - offsets_[u]);
+    const Adjacency& adj = adjacency();
+    return static_cast<NodeId>(adj.offsets[u + 1] - adj.offsets[u]);
   }
 
   /// Neighbours of u in ascending order, as a view into the arc array.
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId u) const {
-    return {neighbors_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
+    const Adjacency& adj = adjacency();
+    return {adj.arcs.data() + adj.offsets[u],
+            adj.offsets[u + 1] - adj.offsets[u]};
   }
 
   /// Offset array (size n + 1) — bulk kernels index the arc array directly.
   [[nodiscard]] const std::vector<std::size_t>& offsets() const {
-    return offsets_;
+    return adjacency().offsets;
   }
   /// Arc array (size 2m), ascending within each node's range.
-  [[nodiscard]] const std::vector<NodeId>& arcs() const { return neighbors_; }
+  [[nodiscard]] const std::vector<NodeId>& arcs() const {
+    return adjacency().arcs;
+  }
+
+  /// Calls `fn(u, v)` once per edge without building adjacency when the
+  /// graph still has its input: a `from_edges` graph visits its pairs as
+  /// given (duplicates, self-loops and either orientation included), any
+  /// other graph visits each adjacency edge once with u < v.
+  template <typename Fn>
+  void for_each_edge(Fn&& fn) const {
+    if (keeps_pairs_) {
+      for (const Edge& e : pairs_) fn(e.u, e.v);
+      return;
+    }
+    const Adjacency& adj = adjacency();
+    for (NodeId u = 0; u < n_; ++u) {
+      const std::size_t end = adj.offsets[std::size_t{u} + 1];
+      for (std::size_t a = adj.offsets[u]; a < end; ++a) {
+        if (u < adj.arcs[a]) fn(u, adj.arcs[a]);
+      }
+    }
+  }
 
   /// Edge density m / (n choose 2); 0 for n < 2.
   [[nodiscard]] double density() const;
@@ -90,12 +126,36 @@ class CsrGraph {
   /// platforms: it hashes the integer values, not their byte layout.
   [[nodiscard]] std::uint64_t content_hash() const;
 
-  friend bool operator==(const CsrGraph&, const CsrGraph&) = default;
+  /// Same node count and same adjacency, however each side was built.
+  friend bool operator==(const CsrGraph& a, const CsrGraph& b) {
+    return a.n_ == b.n_ && a.offsets() == b.offsets() && a.arcs() == b.arcs();
+  }
 
  private:
+  /// Offsets and arcs, filled once under `built` — behind a pointer,
+  /// because a `std::once_flag` can be neither copied nor moved.  `ready`
+  /// lets every access after the build skip the once-call: the sweeps ask
+  /// for one row per vertex.
+  struct Adjacency {
+    std::once_flag built;
+    std::atomic<bool> ready{false};
+    std::vector<std::size_t> offsets = {0};  ///< size n + 1
+    std::vector<NodeId> arcs;                ///< size 2m
+  };
+
+  /// The adjacency, built from `pairs_` on first use.
+  [[nodiscard]] const Adjacency& adjacency() const {
+    if (adjacency_ == nullptr) return empty_adjacency();
+    if (!adjacency_->ready.load(std::memory_order_acquire)) build_once();
+    return *adjacency_;
+  }
+  [[nodiscard]] static const Adjacency& empty_adjacency();
+  void build_once() const;
+
   NodeId n_ = 0;
-  std::vector<std::size_t> offsets_ = {0};  ///< size n + 1
-  std::vector<NodeId> neighbors_;           ///< size 2m
+  bool keeps_pairs_ = false;  ///< built by from_edges: `pairs_` is the input
+  std::vector<Edge> pairs_;
+  std::shared_ptr<Adjacency> adjacency_;  ///< null for a default graph
 };
 
 }  // namespace gcalib::graph

@@ -1,7 +1,8 @@
 // Cooperative cancellation and deadline tests (DESIGN.md §10): every sweep
-// backend honours a tripped CancelToken and an expired deadline, the unwind
-// leaves the field on the last completed generation (never mid-commit), and
-// a machine is reusable after the stop signal clears.
+// backend and the CSR link pass honour a tripped CancelToken and an expired
+// deadline, the unwind leaves the field on the last completed generation
+// (never mid-commit), and a machine is reusable after the stop signal
+// clears.
 #include "gca/cancel.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +11,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/cc_solver.hpp"
 #include "core/hirschberg_gca.hpp"
+#include "core/runner.hpp"
 #include "gca/execution.hpp"
 #include "graph/cc_baselines.hpp"
 #include "graph/csr_graph.hpp"
@@ -148,11 +151,23 @@ TEST(Cancel, SteadyDeadlineClampsZeroBudget) {
 
 /// One hub, a million spokes: the worst case for the CSR sweep's stop
 /// polling, because a single vertex's neighbour scan is a million arcs.
+/// The adjacency is built here, outside the timed solves.
 graph::CsrGraph star_graph(NodeId spokes) {
   std::vector<graph::Edge> edges;
   edges.reserve(spokes);
   for (NodeId v = 1; v <= spokes; ++v) edges.push_back({0, v});
-  return graph::CsrGraph::from_edges(spokes + 1, edges);
+  graph::CsrGraph star = graph::CsrGraph::from_edges(spokes + 1, edges);
+  (void)star.offsets();
+  return star;
+}
+
+/// The star tests are about the sync round loop's polling: on the link
+/// pass a million-edge star can finish inside a 1 ms deadline.
+RunOptions sync_options() {
+  RunOptions options;
+  options.instrument = false;
+  options.sparse_mode = gca::SparseMode::kSync;
+  return options;
 }
 
 TEST(Cancel, StarGraphCancelLatencyIsEdgeBounded) {
@@ -164,8 +179,7 @@ TEST(Cancel, StarGraphCancelLatencyIsEdgeBounded) {
   const graph::CsrGraph star = star_graph(1'000'000);
   gca::CancelToken token;
   token.request_cancel();
-  RunOptions options;
-  options.instrument = false;
+  RunOptions options = sync_options();
   options.cancel = &token;
   const QueryOutcome outcome =
       sparse_cc_solver().try_solve(SolverInput(star), options);
@@ -178,8 +192,7 @@ TEST(Cancel, StarGraphDeadlineExpiresMidNeighborScan) {
   // With a 1 ms budget the deadline trips inside the hub's arc scan; the
   // edge-grained poll notices within a stride instead of after the scan.
   const graph::CsrGraph star = star_graph(1'000'000);
-  RunOptions options;
-  options.instrument = false;
+  RunOptions options = sync_options();
   options.deadline_ms = 1;
   const QueryOutcome outcome =
       sparse_cc_solver().try_solve(SolverInput(star), options);
@@ -192,13 +205,46 @@ TEST(Cancel, StarGraphSolvesCleanlyWithoutStopSignals) {
   // The unarmed loop carries no poll counter; make sure the split paths
   // agree on the labeling.
   const graph::CsrGraph star = star_graph(10'000);
-  RunOptions options;
-  options.instrument = false;
+  const RunOptions options = sync_options();
   const QueryOutcome outcome =
       sparse_cc_solver().try_solve(SolverInput(star), options);
   ASSERT_TRUE(outcome.ok()) << outcome.status.message;
   EXPECT_EQ(outcome.result.components, 1u);
   for (const NodeId label : outcome.result.labels) EXPECT_EQ(label, 0u);
+}
+
+/// Two million random pairs: a link pass that takes well over 1 ms.
+graph::CsrGraph random_pairs(NodeId n, std::size_t m, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<graph::Edge> edges(m);
+  for (graph::Edge& e : edges) {
+    e.u = static_cast<NodeId>(rng.below(n));
+    e.v = static_cast<NodeId>(rng.below(n));
+  }
+  return graph::CsrGraph::from_edges(n, edges);
+}
+
+TEST(Cancel, LinkPassHonoursAPreTrippedTokenThroughTheRunner) {
+  const graph::CsrGraph csr = random_pairs(1 << 12, 1 << 13, 3);
+  gca::CancelToken token;
+  token.request_cancel();
+  RunnerOptions options;
+  options.threads = 2;
+  options.cancel = &token;
+  const QueryOutcome outcome = Runner(options).try_solve(csr);
+  EXPECT_EQ(outcome.status.code, StatusCode::kCancelled);
+}
+
+TEST(Cancel, LinkPassDeadlineExpiresMidPass) {
+  const graph::CsrGraph csr = random_pairs(1 << 20, 2'000'000, 5);
+  RunnerOptions options;
+  options.threads = 2;
+  options.deadline_ms = 1;
+  const QueryOutcome outcome = Runner(options).try_solve(csr);
+  EXPECT_EQ(outcome.status.code, StatusCode::kDeadlineExceeded)
+      << outcome.status.message;
+  EXPECT_LT(outcome.elapsed_ns, 250'000'000)
+      << "the link pass polls every few thousand edges";
 }
 
 }  // namespace

@@ -41,14 +41,13 @@ TEST(SolverInput, LazyViewsMaterialiseTheMissingRepresentation) {
   EXPECT_TRUE(from_dense.has_dense());
   EXPECT_FALSE(from_dense.has_csr());
   EXPECT_EQ(from_dense.node_count(), 6u);
-  EXPECT_EQ(from_dense.edge_count(), 4u);
   EXPECT_EQ(from_dense.csr(), graph::CsrGraph::from_graph(g));
 
   const graph::CsrGraph csr = graph::CsrGraph::from_graph(g);
   const SolverInput from_csr(csr);
   EXPECT_FALSE(from_csr.has_dense());
   EXPECT_TRUE(from_csr.has_csr());
-  EXPECT_EQ(from_csr.edge_count(), 4u);
+  EXPECT_EQ(from_csr.node_count(), 6u);
   EXPECT_EQ(from_csr.dense().edge_count(), g.edge_count());
   EXPECT_TRUE(from_csr.dense().has_edge(0, 1));
   EXPECT_FALSE(from_csr.dense().has_edge(2, 3));
@@ -171,6 +170,7 @@ TEST(CcSolverGolden, SparseSweepsCarryHookAndJumpLabels) {
   const graph::Graph g = two_components();
   RunOptions options;
   options.instrument = true;
+  options.sparse_mode = gca::SparseMode::kSync;  // the round loop's history
   const QueryResult result =
       sparse_cc_solver().solve(SolverInput(g), options);
   ASSERT_FALSE(result.sweeps.empty());

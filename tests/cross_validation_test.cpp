@@ -1,15 +1,19 @@
-// The repository's central correctness property: on any graph, all five
-// implementations produce the identical min-id component labeling —
+// The repository's central correctness property: on any graph, every
+// implementation produces the identical min-id component labeling —
 //   GCA Hirschberg (the paper's machine)
 //   == PRAM-hosted Hirschberg == direct Hirschberg reference
-//   == Shiloach-Vishkin == union-find == BFS.
+//   == Shiloach-Vishkin == union-find == BFS
+//   == the production link pass, on each input shape it reads (a `Graph`,
+//      a `from_graph` CsrGraph's arcs, a `from_edges` CsrGraph's pairs).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
 
+#include "core/cc_solver.hpp"
 #include "core/hirschberg_gca.hpp"
 #include "graph/cc_baselines.hpp"
+#include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/labeling.hpp"
 #include "graph/union_find.hpp"
@@ -22,6 +26,29 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
+/// Labels of the link pass (the sparse solver's default engine).
+std::vector<NodeId> link_labels(const core::SolverInput& input) {
+  core::RunOptions options;
+  options.instrument = false;
+  return core::sparse_cc_solver().solve(input, options).labels;
+}
+
+/// The link pass on every input shape: a `Graph`'s lists, a `from_graph`
+/// CsrGraph's arcs, and a `from_edges` CsrGraph's raw pairs.
+void expect_link_agrees(const Graph& g, const std::vector<graph::Edge>& pairs,
+                        const std::vector<NodeId>& oracle,
+                        const std::string& context) {
+  EXPECT_EQ(link_labels(core::SolverInput(g)), oracle)
+      << context << " [link: graph]";
+  EXPECT_EQ(link_labels(core::SolverInput(graph::CsrGraph::from_graph(g))),
+            oracle)
+      << context << " [link: csr arcs]";
+  EXPECT_EQ(link_labels(core::SolverInput(
+                graph::CsrGraph::from_edges(g.node_count(), pairs))),
+            oracle)
+      << context << " [link: csr pairs]";
+}
+
 void expect_all_agree(const Graph& g, const std::string& context) {
   const std::vector<NodeId> oracle = graph::union_find_components(g);
   EXPECT_TRUE(graph::is_valid_min_labeling(g, oracle)) << context;
@@ -30,6 +57,7 @@ void expect_all_agree(const Graph& g, const std::string& context) {
   EXPECT_EQ(pram::hirschberg_reference(g), oracle) << context << " [hirschberg]";
   EXPECT_EQ(pram::shiloach_vishkin_reference(g), oracle) << context << " [sv]";
   EXPECT_EQ(core::gca_components(g), oracle) << context << " [gca]";
+  expect_link_agrees(g, g.edges(), oracle, context);
 }
 
 // The family is a std::string, not a const char*: gtest prints a pointer
@@ -93,6 +121,42 @@ TEST(CrossValidation, PramHostedVariantsAgreeToo) {
     EXPECT_EQ(pram::run_hirschberg_pram(g).labels, oracle) << seed;
     EXPECT_EQ(pram::run_shiloach_vishkin_pram(g).labels, oracle) << seed;
   }
+}
+
+TEST(CrossValidation, LinkPassTakesRawPairs) {
+  // What `from_edges` keeps and the link pass reads as given: duplicate
+  // pairs in both orientations, self-loops, isolated vertices, and edges
+  // listed high-to-low, against the same graph built cleanly.
+  const auto check = [](NodeId n, const std::vector<graph::Edge>& pairs,
+                        const std::string& context) {
+    std::vector<graph::Edge> simple;
+    for (const graph::Edge& e : pairs) {
+      if (e.u != e.v) simple.push_back(e);
+    }
+    const Graph g = Graph::from_edges(n, simple);
+    expect_link_agrees(g, pairs, graph::union_find_components(g), context);
+  };
+  check(1, {}, "n=1");
+  check(1, {{0, 0}}, "n=1 self-loop");
+  check(9, {{8, 2}, {2, 8}, {2, 8}, {5, 5}, {7, 6}, {6, 7}, {4, 4}},
+        "duplicates, loops, isolated");
+  std::vector<graph::Edge> star_pairs;
+  std::vector<graph::Edge> path_pairs;
+  for (NodeId v = 1; v < 200; ++v) {
+    star_pairs.push_back({v, 0});
+    star_pairs.push_back({0, v});
+    path_pairs.push_back({v, v - 1});
+  }
+  check(200, star_pairs, "star");
+  check(200, path_pairs, "path");
+  std::vector<graph::Edge> cliques;
+  for (NodeId a = 0; a < 12; ++a) {
+    for (NodeId b = 0; b < 12; ++b) {
+      cliques.push_back({a, b});            // loops and both orientations
+      cliques.push_back({24 - a, 24 - b});  // vertex 12 stays isolated
+    }
+  }
+  check(25, cliques, "two cliques");
 }
 
 TEST(CrossValidation, WorstCaseChainForPointerJumping) {

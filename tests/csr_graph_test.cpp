@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 
@@ -192,6 +194,116 @@ TEST(CsrGraph, EdgeBalancedBoundariesCoverEveryArcExactlyOnce) {
     }
     EXPECT_EQ(covered, csr.offsets().back()) << parts << " parts";
   }
+}
+
+/// Random pairs over n vertices with self-loops, duplicates and both
+/// orientations — raw input the way callers hand it to `from_edges`.
+std::vector<Edge> raw_pairs(NodeId n, std::size_t m, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(n));
+    const auto v = static_cast<NodeId>(rng.below(n));
+    edges.push_back({u, v});
+    if (i % 7 == 0) edges.push_back({v, u});
+  }
+  edges.push_back({3, 3});
+  return edges;
+}
+
+/// The eager reference: the same edges through `Graph::from_edges`, which
+/// refuses self-loops, so they are dropped first.
+CsrGraph eager(NodeId n, const std::vector<Edge>& edges) {
+  std::vector<Edge> simple;
+  for (const Edge& e : edges) {
+    if (e.u != e.v) simple.push_back(e);
+  }
+  return CsrGraph::from_graph(Graph::from_edges(n, simple));
+}
+
+TEST(CsrGraph, EachLazyAccessorMatchesTheEagerBuild) {
+  const NodeId n = 300;
+  const std::vector<Edge> edges = raw_pairs(n, 900, 41);
+  const CsrGraph want = eager(n, edges);
+  // A fresh graph per accessor, so each one is the first to ask.
+  const auto fresh = [&] { return CsrGraph::from_edges(n, edges); };
+  EXPECT_EQ(fresh().node_count(), n);
+  EXPECT_EQ(fresh().edge_count(), want.edge_count());
+  EXPECT_EQ(fresh().degree(5), want.degree(5));
+  const CsrGraph rows = fresh();
+  const auto row = rows.neighbors(7);
+  const auto want_row = want.neighbors(7);
+  EXPECT_TRUE(std::equal(row.begin(), row.end(), want_row.begin(),
+                         want_row.end()));
+  EXPECT_EQ(fresh().offsets(), want.offsets());
+  EXPECT_EQ(fresh().arcs(), want.arcs());
+  EXPECT_DOUBLE_EQ(fresh().density(), want.density());
+  EXPECT_EQ(fresh().edge_balanced_boundaries(3),
+            want.edge_balanced_boundaries(3));
+  EXPECT_EQ(fresh().content_hash(), want.content_hash());
+  EXPECT_EQ(fresh().to_graph(), want.to_graph());
+  EXPECT_EQ(fresh(), want);  // an unbuilt graph against a built one
+  EXPECT_EQ(want, fresh());
+}
+
+TEST(CsrGraph, ForEachEdgeVisitsStoredPairsOrAdjacencyEdges) {
+  const std::vector<Edge> edges = {{2, 1}, {1, 2}, {0, 0}, {3, 0}};
+  std::vector<Edge> seen;
+  const auto record = [&seen](NodeId u, NodeId v) { seen.push_back({u, v}); };
+  CsrGraph::from_edges(4, edges).for_each_edge(record);
+  EXPECT_EQ(seen, edges);  // as given: order, orientation, loop, duplicate
+  seen.clear();
+  CsrGraph::from_graph(Graph::from_edges(4, {{2, 1}, {3, 0}}))
+      .for_each_edge(record);
+  EXPECT_EQ(seen, (std::vector<Edge>{{0, 3}, {1, 2}}));
+}
+
+TEST(CsrGraph, CopiesAndMovesWorkBeforeAndAfterTheBuild) {
+  const std::vector<Edge> edges = raw_pairs(64, 150, 9);
+  const CsrGraph want = eager(64, edges);
+
+  const CsrGraph original = CsrGraph::from_edges(64, edges);
+  const CsrGraph copy_before = original;  // neither side built yet
+  CsrGraph moved_before = CsrGraph::from_edges(64, edges);
+  const CsrGraph moved_to_before = std::move(moved_before);
+  EXPECT_EQ(copy_before, want);
+  EXPECT_EQ(moved_to_before, want);
+  EXPECT_EQ(original, want);
+
+  CsrGraph built = CsrGraph::from_edges(64, edges);
+  (void)built.arcs();
+  const CsrGraph copy_after = built;
+  const CsrGraph moved_to_after = std::move(built);
+  EXPECT_EQ(copy_after, want);
+  EXPECT_EQ(moved_to_after, want);
+
+  CsrGraph assigned;
+  assigned = copy_after;
+  EXPECT_EQ(assigned, want);
+  assigned = CsrGraph::from_edges(64, edges);
+  EXPECT_EQ(assigned, want);
+}
+
+TEST(CsrGraph, ConcurrentFirstAccessesBuildOnce) {
+  const NodeId n = 4096;
+  const std::vector<Edge> edges = raw_pairs(n, 3 * n, 17);
+  const CsrGraph want = eager(n, edges);
+  const CsrGraph shared = CsrGraph::from_edges(n, edges);
+  const CsrGraph copy = shared;  // copies share the one build
+  std::vector<std::size_t> arcs_seen(8, 0);
+  std::vector<std::thread> racers;
+  for (std::size_t t = 0; t < arcs_seen.size(); ++t) {
+    racers.emplace_back([&, t] {
+      const CsrGraph& g = t % 2 == 0 ? shared : copy;
+      std::size_t arcs = 0;
+      for (NodeId u = 0; u < n; ++u) arcs += g.neighbors(u).size();
+      arcs_seen[t] = arcs;
+    });
+  }
+  for (std::thread& racer : racers) racer.join();
+  for (const std::size_t arcs : arcs_seen) EXPECT_EQ(arcs, want.arcs().size());
+  EXPECT_EQ(shared, want);
+  EXPECT_EQ(copy, want);
 }
 
 }  // namespace

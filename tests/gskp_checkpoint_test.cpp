@@ -44,7 +44,7 @@ graph::CsrGraph make_cycle(NodeId n) {
 }
 
 /// A sparse supercritical G(n, 2/n): a giant component plus many small
-/// ones, converging over ~a dozen hook/shortcut rounds in either mode.
+/// ones, converging over ~a dozen hook/jump rounds.
 /// (The plain 0..n-1 cycle is useless here: its single monotone label
 /// chain collapses in one full jump subloop — no mid-lattice window for a
 /// cancel to land in.)
@@ -218,9 +218,7 @@ TEST_P(GskpResume, CancelMidRunThenResumeBitIdentical) {
   const NodeId n = 1 << 14;
   const SlowGraph slow = slow_graph(n, 2026);
   const graph::CsrGraph& csr = slow.csr;
-  const std::string dir =
-      fresh_dir(GetParam() == gca::SparseMode::kSync ? "gskp_resume_sync"
-                                                     : "gskp_resume_async");
+  const std::string dir = fresh_dir("gskp_resume_sync");
 
   gca::CancelToken token;
   core::RunOptions crash = resume_options(GetParam(), dir);
@@ -255,14 +253,11 @@ TEST_P(GskpResume, CancelMidRunThenResumeBitIdentical) {
             StatusCode::kNotFound);
 }
 
+// Checkpointed solves run the sync round loop whatever the mode; the
+// parameter keeps the suite's name.
 INSTANTIATE_TEST_SUITE_P(Modes, GskpResume,
-                         ::testing::Values(gca::SparseMode::kSync,
-                                           gca::SparseMode::kAsync),
-                         [](const auto& param_info) {
-                           return param_info.param == gca::SparseMode::kSync
-                                      ? "Sync"
-                                      : "Async";
-                         });
+                         ::testing::Values(gca::SparseMode::kSync),
+                         [](const auto&) { return "Sync"; });
 
 TEST(GskpResumeGuards, GraphHashMismatchStartsFreshWithDiagnosis) {
   // An artifact from graph A must never seed a solve of graph B, however

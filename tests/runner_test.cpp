@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -395,39 +396,25 @@ TEST(Runner, RetryStartsFreshAfterACertificateOnlyCorruption) {
   EXPECT_EQ(outcome.result.labels, graph::union_find_components(g));
 }
 
-TEST(Runner, SmallLoneQueryRunsOnOneLane) {
-  // Sweep labels show the path taken: "hook#" is the sequential sync
-  // reference, "cas-hook#" the parallel CAS-min path kAuto picks on more
-  // than one lane.
+TEST(Runner, LoneAutoQueryEmitsOneLinkStep) {
+  // A lone kAuto query runs the one-lane link pass whatever the pool
+  // width: one "link" step, through try_solve and a one-query batch alike.
   RunnerOptions options;
   options.threads = 2;
   options.instrument = true;
   const Runner runner(options);
-  const auto first_sweep = [](const QueryOutcome& outcome) {
+  const auto steps = [](const QueryOutcome& outcome) {
     EXPECT_TRUE(outcome.ok()) << outcome.status.to_string();
-    return outcome.result.sweeps.empty() ? std::string()
-                                         : outcome.result.sweeps[0].label;
+    std::vector<std::string> labels;
+    for (const auto& sweep : outcome.result.sweeps) labels.push_back(sweep.label);
+    return labels;
   };
-  const auto path = [](NodeId n) {
-    std::vector<graph::Edge> edges;
-    for (NodeId v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1});
-    return graph::CsrGraph::from_edges(n, edges);
-  };
-
-  const graph::CsrGraph small = path(64);
-  EXPECT_EQ(first_sweep(runner.try_solve(small)).rfind("hook#", 0), 0u);
-  EXPECT_EQ(first_sweep(runner.solve_batch({small.to_graph()})[0])
-                .rfind("hook#", 0),
-            0u);
-
-  const NodeId big_n =
-      static_cast<NodeId>(kMinParallelQueryWork / 3 + 2);  // n + 2m >= limit
-  const graph::CsrGraph big = path(big_n);
-  ASSERT_GE(big.node_count() + 2 * big.edge_count(), kMinParallelQueryWork);
-  EXPECT_EQ(first_sweep(runner.try_solve(big)).rfind("cas-hook#", 0), 0u);
-  EXPECT_EQ(first_sweep(runner.solve_batch({big.to_graph()})[0])
-                .rfind("cas-hook#", 0),
-            0u);
+  std::vector<graph::Edge> edges;
+  for (NodeId v = 0; v + 1 < 4096; ++v) edges.push_back({v, v + 1});
+  const graph::CsrGraph path = graph::CsrGraph::from_edges(4096, edges);
+  const std::vector<std::string> link = {"link"};
+  EXPECT_EQ(steps(runner.try_solve(path)), link);
+  EXPECT_EQ(steps(runner.solve_batch({path.to_graph()})[0]), link);
 }
 
 TEST(Runner, OutcomesCarryElapsedTime) {

@@ -1,8 +1,8 @@
-// Sparse-mode equivalence suite (DESIGN.md §14): the concurrent CAS-min
-// labeling path (async, with and without frontier worklists) must produce
-// exactly the same canonical min-node-id labeling as the double-buffered
-// synchronous reference on every graph family, every execution backend and
-// every thread count — and must honour cancellation mid-flight.
+// Sparse-mode equivalence suite (DESIGN.md §14): the link pass (kAuto)
+// must produce exactly the same canonical min-node-id labeling as the
+// double-buffered synchronous reference (kSync) on every graph family,
+// every execution backend and every thread count, and each engine must be
+// observable by its step labels.
 //
 // The family list targets the partitioner's worst cases: a star (all arcs
 // in one row — count-equal vertex splits starve every lane but one), a
@@ -11,14 +11,12 @@
 // as the unstructured control, all checked against the union-find oracle.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/cc_solver.hpp"
 #include "core/hirschberg_gca.hpp"
-#include "gca/cancel.hpp"
+#include "gca/trace.hpp"
 #include "gcad/latency.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
@@ -50,16 +48,11 @@ const Backend kBackends[] = {
 struct Mode {
   const char* name;
   gca::SparseMode sparse_mode;
-  double sparse_frontier;
 };
 
-// sparse_frontier = 0 disables worklists entirely (every async round is a
-// full arc sweep); 1.0 switches to the frontier sweep as soon as round 0
-// completes.  Covering both extremes plus sync covers every code path.
 const Mode kModes[] = {
-    {"sync", gca::SparseMode::kSync, 0.35},
-    {"async dense", gca::SparseMode::kAsync, 0.0},
-    {"async frontier", gca::SparseMode::kAsync, 1.0},
+    {"sync", gca::SparseMode::kSync},
+    {"link", gca::SparseMode::kAuto},
 };
 
 /// Two k-cliques bridged by a single edge: the whole right clique's final
@@ -85,7 +78,6 @@ std::vector<graph::NodeId> solve_with(const graph::CsrGraph& csr,
   options.threads = backend.threads;
   options.policy = backend.policy;
   options.sparse_mode = mode.sparse_mode;
-  options.sparse_frontier = mode.sparse_frontier;
   return sparse_cc_solver().solve(SolverInput(csr), options).labels;
 }
 
@@ -123,7 +115,6 @@ TEST(SparseModeEquivalence, ComponentCountsAgreeWithTheOracle) {
     options.threads = 4;
     options.policy = gca::ExecutionPolicy::kPool;
     options.sparse_mode = mode.sparse_mode;
-    options.sparse_frontier = mode.sparse_frontier;
     const QueryResult result = sparse_cc_solver().solve(SolverInput(csr), options);
     EXPECT_EQ(result.components, oracle.set_count()) << mode.name;
   }
@@ -138,7 +129,6 @@ TEST(SparseModeEquivalence, SelfCheckPassesInEveryMode) {
     options.threads = 4;
     options.policy = gca::ExecutionPolicy::kPool;
     options.sparse_mode = mode.sparse_mode;
-    options.sparse_frontier = mode.sparse_frontier;
     EXPECT_NO_THROW((void)sparse_cc_solver().solve(SolverInput(csr), options))
         << mode.name;
   }
@@ -159,110 +149,47 @@ TEST(SparseModeEquivalence, TinyGraphsInEveryExplicitMode) {
   }
 }
 
-/// kAuto is observable through instrumentation: the synchronous reference
-/// emits "hook#…" sweeps, the concurrent path emits "cas-hook#…".
-TEST(SparseModeEquivalence, AutoPicksSyncSequentiallyAndAsyncInParallel) {
-  const graph::CsrGraph csr =
-      graph::CsrGraph::from_graph(graph::random_gnm(256, 512, 23));
-
-  RunOptions sequential;
-  sequential.instrument = true;
-  sequential.sparse_mode = gca::SparseMode::kAuto;
-  const QueryResult seq_result =
-      sparse_cc_solver().solve(SolverInput(csr), sequential);
-  ASSERT_FALSE(seq_result.sweeps.empty());
-  EXPECT_EQ(seq_result.sweeps[0].label.rfind("hook#", 0), 0u);
-
-  RunOptions parallel;
-  parallel.instrument = true;
-  parallel.sparse_mode = gca::SparseMode::kAuto;
-  parallel.threads = 4;
-  parallel.policy = gca::ExecutionPolicy::kPool;
-  const QueryResult par_result =
-      sparse_cc_solver().solve(SolverInput(csr), parallel);
-  ASSERT_FALSE(par_result.sweeps.empty());
-  EXPECT_EQ(par_result.sweeps[0].label.rfind("cas-hook#", 0), 0u);
-  EXPECT_EQ(par_result.labels, seq_result.labels);
-}
-
-TEST(SparseModeEquivalence, FrontierRoundsActivateOnlyWhenEnabled) {
-  // Whether a given round's change count clears the frontier threshold
-  // depends on the CAS interleaving, so this runs the async path on the
-  // *sequential* backend — one lane is deterministic: a path cascades to
-  // its minimum in round 0 (n - 1 changes <= n), making round 1 a frontier
-  // round exactly when worklists are enabled.
-  const graph::CsrGraph csr =
-      graph::CsrGraph::from_graph(graph::make_named("path", 1024, 0));
-  const auto count_frontier_sweeps = [&](double fraction) {
+/// The engine is observable through its steps: the link pass reports
+/// exactly one "link" step at every width, through `instrument` and through
+/// a sink alike; the synchronous reference emits "hook#…" / "jump#…" sweeps.
+TEST(SparseModeEquivalence, AutoLinksAndSyncHooksAtEveryWidth) {
+  const graph::Graph g = graph::random_gnm(256, 512, 23);
+  const graph::CsrGraph csr = graph::CsrGraph::from_graph(g);
+  const std::vector<graph::NodeId> oracle = graph::union_find_components(g);
+  for (const unsigned threads : {1u, 4u}) {
     RunOptions options;
+    options.threads = threads;
+    options.policy = threads > 1 ? gca::ExecutionPolicy::kPool
+                                 : gca::ExecutionPolicy::kSequential;
+    gca::Trace trace;
+    options.sink = &trace;
     options.instrument = true;
-    options.sparse_mode = gca::SparseMode::kAsync;
-    options.sparse_frontier = fraction;
-    const QueryResult result =
-        sparse_cc_solver().solve(SolverInput(csr), options);
-    std::size_t frontier_sweeps = 0;
-    for (const auto& sweep : result.sweeps) {
-      if (sweep.label.rfind("cas-hook-frontier#", 0) == 0) ++frontier_sweeps;
-    }
-    return frontier_sweeps;
-  };
-  EXPECT_GT(count_frontier_sweeps(1.0), 0u);
-  EXPECT_EQ(count_frontier_sweeps(0.0), 0u);
-}
 
-TEST(SparseAsyncCancel, PreTrippedTokenAbortsBeforeAnyWork) {
-  const graph::CsrGraph csr =
-      graph::CsrGraph::from_graph(graph::random_gnm(1024, 2048, 3));
-  gca::CancelToken token;
-  token.request_cancel();
-  RunOptions options;
-  options.instrument = false;
-  options.cancel = &token;
-  options.threads = 4;
-  options.policy = gca::ExecutionPolicy::kPool;
-  options.sparse_mode = gca::SparseMode::kAsync;
-  EXPECT_THROW((void)sparse_cc_solver().solve(SolverInput(csr), options),
-               gca::Cancelled);
-}
+    options.sparse_mode = gca::SparseMode::kAuto;
+    const QueryResult link = sparse_cc_solver().solve(SolverInput(csr), options);
+    ASSERT_EQ(link.sweeps.size(), 1u) << threads;
+    EXPECT_EQ(link.sweeps[0].label, "link");
+    EXPECT_EQ(link.generations, 1u);
+    EXPECT_EQ(link.sweeps[0].total_reads, csr.edge_count());
+    EXPECT_EQ(link.sweeps[0].active_cells,
+              g.node_count() - link.components);  // one link per merge
+    ASSERT_EQ(trace.size(), 1u);
+    EXPECT_EQ(trace.steps()[0].label, "link");
+    EXPECT_GT(trace.steps()[0].duration_ns, 0u);
+    EXPECT_EQ(link.labels, oracle);
 
-TEST(SparseAsyncCancel, MidRunCancellationIsHonouredOrHarmless) {
-  // Trip the token from a second thread while the async solve is in
-  // flight.  The race is inherent — the solve may finish first — so both
-  // outcomes are accepted, but a cancelled run must abort via
-  // gca::Cancelled (within the ~4096-arc poll budget) and a completed run
-  // must still match the oracle exactly.
-  for (const std::uint64_t seed : {201u, 202u, 203u}) {
-    const graph::Graph g = graph::random_gnm(4096, 8192, seed);
-    const std::vector<graph::NodeId> oracle = graph::union_find_components(g);
-    const graph::CsrGraph csr = graph::CsrGraph::from_graph(g);
-    for (const double fraction : {0.0, 1.0}) {
-      gca::CancelToken token;
-      RunOptions options;
-      options.instrument = false;
-      options.cancel = &token;
-      options.threads = 4;
-      options.policy = gca::ExecutionPolicy::kPool;
-      options.sparse_mode = gca::SparseMode::kAsync;
-      options.sparse_frontier = fraction;
-      std::atomic<bool> go{false};
-      std::thread tripper([&] {
-        while (!go.load(std::memory_order_acquire)) {}
-        token.request_cancel();
-      });
-      bool cancelled = false;
-      std::vector<graph::NodeId> labels;
-      try {
-        go.store(true, std::memory_order_release);
-        labels = sparse_cc_solver().solve(SolverInput(csr), options).labels;
-      } catch (const gca::Cancelled&) {
-        cancelled = true;
-      }
-      tripper.join();
-      if (!cancelled) {
-        EXPECT_EQ(labels, oracle)
-            << "seed " << seed << " frontier " << fraction;
-      }
-    }
+    trace.clear();
+    options.instrument = false;  // a sink alone still sees the one step
+    (void)sparse_cc_solver().solve(SolverInput(csr), options);
+    EXPECT_EQ(trace.size(), 1u);
+
+    options.instrument = true;
+    options.sparse_mode = gca::SparseMode::kSync;
+    const QueryResult sync = sparse_cc_solver().solve(SolverInput(csr), options);
+    ASSERT_GT(sync.sweeps.size(), 1u) << threads;
+    EXPECT_EQ(sync.sweeps[0].label.rfind("hook#", 0), 0u);
+    EXPECT_EQ(sync.sweeps[1].label.rfind("jump#", 0), 0u);
+    EXPECT_EQ(sync.labels, oracle);
   }
 }
 
