@@ -275,7 +275,6 @@ int main(int argc, char** argv) {
           RunOptions options;
           options.instrument = false;
           options.threads = 4;
-          options.policy = gcalib::gca::ExecutionPolicy::kPool;
           options.sparse_mode = gcalib::gca::SparseMode::kSync;
           configure(options);
           const auto start = std::chrono::steady_clock::now();
@@ -363,7 +362,6 @@ int main(int argc, char** argv) {
     RunOptions options;
     options.instrument = false;
     options.threads = 4;
-    options.policy = gcalib::gca::ExecutionPolicy::kPool;
     options.certify = true;
     options.recovery.checkpoint_interval = 2;
     options.recovery.max_rollbacks = 3;

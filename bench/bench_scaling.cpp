@@ -62,14 +62,12 @@ BENCHMARK(BM_GcaHirschberg)->RangeMultiplier(2)->Range(8, 256);
 // the sparse-over-dense speedup per n.
 
 void gca_hirschberg_sweep(benchmark::State& state, gcalib::gca::SweepMode sweep,
-                          unsigned threads,
-                          gcalib::gca::ExecutionPolicy policy) {
+                          unsigned threads) {
   const Graph g = dense_graph(state.range(0));
   gcalib::core::RunOptions options;
   options.instrument = false;
   options.sweep = sweep;
   options.threads = threads;
-  options.policy = policy;
   for (auto _ : state) {
     gcalib::core::HirschbergGca machine(g);
     benchmark::DoNotOptimize(machine.run(options).labels.data());
@@ -80,26 +78,22 @@ void gca_hirschberg_sweep(benchmark::State& state, gcalib::gca::SweepMode sweep,
 }
 
 void BM_GcaHirschbergDense(benchmark::State& state) {
-  gca_hirschberg_sweep(state, gcalib::gca::SweepMode::kDense, 1,
-                       gcalib::gca::ExecutionPolicy::kSequential);
+  gca_hirschberg_sweep(state, gcalib::gca::SweepMode::kDense, 1);
 }
 BENCHMARK(BM_GcaHirschbergDense)->RangeMultiplier(2)->Range(64, 512);
 
 void BM_GcaHirschbergSparse(benchmark::State& state) {
-  gca_hirschberg_sweep(state, gcalib::gca::SweepMode::kSparse, 1,
-                       gcalib::gca::ExecutionPolicy::kSequential);
+  gca_hirschberg_sweep(state, gcalib::gca::SweepMode::kSparse, 1);
 }
 BENCHMARK(BM_GcaHirschbergSparse)->RangeMultiplier(2)->Range(64, 512);
 
 void BM_GcaHirschbergDensePool(benchmark::State& state) {
-  gca_hirschberg_sweep(state, gcalib::gca::SweepMode::kDense, 8,
-                       gcalib::gca::ExecutionPolicy::kPool);
+  gca_hirschberg_sweep(state, gcalib::gca::SweepMode::kDense, 8);
 }
 BENCHMARK(BM_GcaHirschbergDensePool)->RangeMultiplier(2)->Range(64, 512);
 
 void BM_GcaHirschbergSparsePool(benchmark::State& state) {
-  gca_hirschberg_sweep(state, gcalib::gca::SweepMode::kSparse, 8,
-                       gcalib::gca::ExecutionPolicy::kPool);
+  gca_hirschberg_sweep(state, gcalib::gca::SweepMode::kSparse, 8);
 }
 BENCHMARK(BM_GcaHirschbergSparsePool)->RangeMultiplier(2)->Range(64, 512);
 
@@ -139,26 +133,15 @@ void BM_GcaKernelsAuto(benchmark::State& state) {
 }
 BENCHMARK(BM_GcaKernelsAuto)->RangeMultiplier(2)->Range(64, 512);
 
-void gca_hirschberg_threaded(benchmark::State& state,
-                             gcalib::gca::ExecutionPolicy policy) {
+void BM_GcaHirschbergPool(benchmark::State& state) {
   const Graph g = dense_graph(state.range(0));
   gcalib::core::RunOptions options;
   options.instrument = false;
   options.threads = 4;
-  options.policy = policy;
   for (auto _ : state) {
     gcalib::core::HirschbergGca machine(g);
     benchmark::DoNotOptimize(machine.run(options).labels.data());
   }
-}
-
-void BM_GcaHirschbergSpawn(benchmark::State& state) {
-  gca_hirschberg_threaded(state, gcalib::gca::ExecutionPolicy::kSpawn);
-}
-BENCHMARK(BM_GcaHirschbergSpawn)->RangeMultiplier(2)->Range(64, 256);
-
-void BM_GcaHirschbergPool(benchmark::State& state) {
-  gca_hirschberg_threaded(state, gcalib::gca::ExecutionPolicy::kPool);
 }
 BENCHMARK(BM_GcaHirschbergPool)->RangeMultiplier(2)->Range(64, 256);
 
@@ -185,13 +168,12 @@ void BM_GcaHirschbergTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_GcaHirschbergTraced)->RangeMultiplier(2)->Range(8, 256);
 
-// --- execution-backend comparison: spawn-per-step vs persistent pool ----
+// --- engine-step overhead: one thread vs the persistent pool -------------
 //
-// Isolates the engine-step overhead the pool removes: a Hirschberg-sized
-// field (n x (n+1) cells) steps a congestion-free one-handed rule, so per
-// step the spawn backend pays thread creation + join while the pool pays
-// one epoch handshake.  items/s = engine steps per second — the paper's
-// generation rate.  scripts/bench_engine.sh captures both series into
+// A Hirschberg-sized field (n x (n+1) cells) steps a congestion-free
+// one-handed rule, so per step the pool pays one epoch handshake on top of
+// the sweep.  items/s = engine steps per second — the paper's generation
+// rate.  scripts/bench_engine.sh captures the series into
 // BENCH_engine.json.
 
 constexpr unsigned kSweepThreads = 8;
@@ -208,18 +190,15 @@ struct CountingSink final : gcalib::gca::MetricsSink {
   }
 };
 
-void engine_sweep(benchmark::State& state, gcalib::gca::ExecutionPolicy policy,
+void engine_sweep(benchmark::State& state, unsigned threads,
                   CountingSink* sink = nullptr) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t cells = n * (n + 1);
   std::vector<std::uint32_t> initial(cells);
   std::iota(initial.begin(), initial.end(), 0u);
-  const unsigned threads =
-      policy == gcalib::gca::ExecutionPolicy::kSequential ? 1 : kSweepThreads;
   gcalib::gca::Engine<std::uint32_t> engine(
       std::move(initial), gcalib::gca::EngineOptions{}
                               .with_threads(threads)
-                              .with_policy(policy)
                               .with_instrumentation(false));
   if (sink != nullptr) engine.add_sink(sink);
   const auto rule = [cells](std::size_t i,
@@ -231,21 +210,16 @@ void engine_sweep(benchmark::State& state, gcalib::gca::ExecutionPolicy policy,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["cells"] = static_cast<double>(cells);
-  state.counters["threads"] = static_cast<double>(kSweepThreads);
+  state.counters["threads"] = static_cast<double>(threads);
 }
 
 void BM_EngineSweepSequential(benchmark::State& state) {
-  engine_sweep(state, gcalib::gca::ExecutionPolicy::kSequential);
+  engine_sweep(state, 1);
 }
 BENCHMARK(BM_EngineSweepSequential)->RangeMultiplier(2)->Range(64, 256);
 
-void BM_EngineSweepSpawn(benchmark::State& state) {
-  engine_sweep(state, gcalib::gca::ExecutionPolicy::kSpawn);
-}
-BENCHMARK(BM_EngineSweepSpawn)->RangeMultiplier(2)->Range(64, 256);
-
 void BM_EngineSweepPool(benchmark::State& state) {
-  engine_sweep(state, gcalib::gca::ExecutionPolicy::kPool);
+  engine_sweep(state, kSweepThreads);
 }
 BENCHMARK(BM_EngineSweepPool)->RangeMultiplier(2)->Range(64, 256);
 
@@ -253,7 +227,7 @@ void BM_EngineSweepPoolTraced(benchmark::State& state) {
   // Pool sweep with a metrics sink attached: adds per-step + per-lane clock
   // reads and the sink dispatch.  Compare against BM_EngineSweepPool.
   CountingSink sink;
-  engine_sweep(state, gcalib::gca::ExecutionPolicy::kPool, &sink);
+  engine_sweep(state, kSweepThreads, &sink);
   state.counters["sink_steps"] = static_cast<double>(sink.steps);
 }
 BENCHMARK(BM_EngineSweepPoolTraced)->RangeMultiplier(2)->Range(64, 256);

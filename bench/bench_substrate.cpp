@@ -70,8 +70,6 @@ double best_solve_ms(const core::CcSolver& solver,
   options.instrument = false;
   options.sparse_mode = mode;
   options.threads = threads;
-  options.policy = threads > 1 ? gca::ExecutionPolicy::kPool
-                               : gca::ExecutionPolicy::kSequential;
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     const auto start = Clock::now();

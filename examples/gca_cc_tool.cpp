@@ -9,12 +9,13 @@
 //   $ ./gca_cc_tool --algorithm pram --format dimacs graph.col
 //   $ echo "4 2\n0 1\n2 3" | ./gca_cc_tool
 //   $ ./gca_cc_tool --generate complete --n 16 --algorithm tree --stats
-//   $ ./gca_cc_tool --generate gnp:0.5 --n 128 --threads 4 --policy pool
+//   $ ./gca_cc_tool --generate gnp:0.5 --n 128 --threads 4
 //
 // Algorithms: gca (default) | tree | ncells | pram | sv | unionfind | bfs
-// Engine flags (--threads, --policy, --sweep, --no-instrumentation,
-// --record-access, --trace-out, --metrics-out) steer the solver backend and
-// its observability; invalid combinations (e.g. --record-access with
+// Engine flags (--threads, --sweep, --no-instrumentation, --record-access,
+// --trace-out, --metrics-out) steer the solver backend and its
+// observability: --threads 1 sweeps on the calling thread, more on the
+// shared worker pool.  Invalid combinations (e.g. --record-access with
 // --threads 2) are rejected before the run with exit status 2.
 // --substrate picks the gca algorithm's engine by name: dense (default) is
 // the paper-faithful cell field, sparse_csr the O(m)-work CSR
@@ -103,7 +104,6 @@ LabelingOutcome run_gca_sparse(const graph::Graph& g,
   }
   core::RunnerOptions options;
   options.threads = engine.threads;
-  options.policy = engine.policy;
   options.sparse_mode = engine.sparse_mode;
   options.instrument = engine.instrumentation;
   options.sink = trace;
@@ -147,7 +147,6 @@ LabelingOutcome run_algorithm(const std::string& name, const graph::Graph& g,
     core::RunOptions options;
     options.instrument = exec.instrumentation;
     options.threads = exec.threads;
-    options.policy = gca::parse_execution_policy(exec.policy);
     options.sweep = gca::parse_sweep_mode(exec.sweep);
     options.kernels = gca::parse_kernel_variant(exec.kernels);
     options.record_access = exec.record_access;

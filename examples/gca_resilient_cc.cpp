@@ -4,7 +4,7 @@
 //
 // Usage:
 //   gca_resilient_cc [--family gnp:0.1] [--n 24] [--seed 7] [--rate 0.01]
-//                    [--threads 1] [--policy pool] [--no-instrumentation]
+//                    [--threads 1] [--no-instrumentation]
 //                    [--replicas 3] [--trace-out FILE] [--metrics-out FILE]
 //                    [--checkpoint-dir DIR] [--deadline-ms N] [--step-delay-us N]
 //
@@ -16,8 +16,9 @@
 //   --deadline-ms    wall-clock budget; expiry exits with code 3
 //   --step-delay-us  artificial per-step stall (crash-recovery smoke tests
 //                    use it to widen the kill window)
-// The shared execution flags steer the GCA engine backend of the resilient
-// run (the recovery re-executions reuse the same worker pool).
+// The shared engine flags steer the GCA engine of the resilient run:
+// --threads above 1 sweeps on the shared worker pool, which the recovery
+// re-executions reuse.
 //
 // Exit codes: 0 ok, 1 wrong labels, 2 usage, 3 deadline exceeded.
 #include <chrono>
@@ -67,7 +68,6 @@ int main(int argc, char** argv) {
   const double rate = args.get_double("rate", 0.01);
   const std::string family = args.get_string("family", "gnp:0.1");
   gcalib::cli::EngineFlags exec;
-  gcalib::gca::ExecutionPolicy policy = gcalib::gca::ExecutionPolicy::kPool;
   try {
     exec = gcalib::cli::engine_flags(args);
   } catch (const std::exception& e) {
@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
   }
   const gcalib::gca::EngineOptions engine =
       gcalib::gca::options_from_flags_or_exit(exec);
-  policy = engine.policy;
   if (n < 1) {
     std::fprintf(stderr, "error: --n must be >= 1\n");
     return 2;
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
   gcalib::fault::ResilientOptions options;
   options.base.instrument = exec.instrumentation;
   options.base.threads = exec.threads;
-  options.base.policy = policy;
   options.base.sweep = gcalib::gca::parse_sweep_mode(exec.sweep);
   options.base.kernels = engine.kernels;
   options.base.record_access = exec.record_access;

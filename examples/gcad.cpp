@@ -12,9 +12,15 @@
 //   $ ./gcad --threads 4 --journal /tmp/gcad.gcqj &
 //   $ echo '{"id":1,"op":"solve","n":4,"edges":[[0,1],[2,3]]}' > /proc/$!/fd/0
 //
-// Every query runs on the CSR engine (DESIGN.md §12); the dense field's
-// knobs (--sweep, --kernels, --record-access) are rejected as unknown
-// options.
+// Options: --threads N (solve lanes), --retries N (default 1),
+// --retry-backoff-ms N, --checkpoint-dir DIR, --queue-cap N,
+// --max-batch N, --journal FILE, --fault-rate R, --fault-seed S,
+// --drain-timeout-ms N, --quiet.  gcad accepts no flag it would ignore:
+// every query runs on the CSR engine (DESIGN.md §12), so the dense
+// field's knobs (--sweep, --kernels, --record-access) and the engine
+// flags it has no use for (--sparse-mode, --no-instrumentation,
+// --trace-out, --metrics-out, --deadline-ms; deadlines are per request)
+// are unknown options.
 //
 // Exit status: 0 clean drain, 1 drain timeout left journaled work behind,
 // 2 invalid option value, 64 unknown option.
@@ -31,7 +37,6 @@
 #include <string>
 
 #include "common/cli.hpp"
-#include "gca/execution.hpp"
 #include "gca/metrics.hpp"
 #include "gcad/server.hpp"
 
@@ -82,18 +87,19 @@ class StdinBuffer : public std::streambuf {
 
 int main(int argc, char** argv) {
   using namespace gcalib;
-  std::map<std::string, bool> spec =
-      cli::with_runner_flags({{"queue-cap", true},
-                              {"max-batch", true},
-                              {"journal", true},
-                              {"fault-rate", true},
-                              {"fault-seed", true},
-                              {"drain-timeout-ms", true},
-                              {"quiet", false}});
-  // Naming a dense-field knob is a usage error (exit 64), not a no-op.
-  for (const char* dense_only : {"sweep", "kernels", "record-access"}) {
-    spec.erase(dense_only);
-  }
+  // Exactly the flags gcad reads: naming any other is a usage error
+  // (exit 64), never a silent no-op.
+  const std::map<std::string, bool> spec = {{"threads", true},
+                                            {"retries", true},
+                                            {"retry-backoff-ms", true},
+                                            {"checkpoint-dir", true},
+                                            {"queue-cap", true},
+                                            {"max-batch", true},
+                                            {"journal", true},
+                                            {"fault-rate", true},
+                                            {"fault-seed", true},
+                                            {"drain-timeout-ms", true},
+                                            {"quiet", false}};
   const CliArgs args = CliArgs::parse_or_exit(argc, argv, spec);
 
   const auto require = [](bool ok, const char* what) {
@@ -102,41 +108,30 @@ int main(int argc, char** argv) {
       std::exit(2);
     }
   };
-  cli::RunnerFlags flags;
+  // The shared engine-flag reader checks --threads >= 1 and the --retries
+  // range, the same as in every other tool.
+  cli::EngineFlags flags;
+  std::int64_t retry_backoff_ms = 0;
   try {
-    flags = cli::runner_flags(args);
+    flags = cli::engine_flags(args);
+    retry_backoff_ms = args.get_int("retry-backoff-ms", 0);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  // One shared validation surface with the other tools: an inconsistent
-  // engine combination (--policy warp, --threads 2 --policy sequential, ...)
-  // exits 2 with the same diagnosis everywhere.
-  const gca::EngineOptions engine = gca::options_from_flags_or_exit(flags.engine);
+  require(retry_backoff_ms >= 0, "--retry-backoff-ms must be >= 0");
 
   gcad::ServerOptions options;
-  options.threads = engine.threads;
-  options.policy = engine.policy;
+  options.threads = flags.threads;
   // The daemon's default stays one retry (resilience posture), but an
   // explicit --retries on the command line wins.
-  options.retries =
-      args.has("retries") ? flags.engine.retries : 1u;
-  options.retry_backoff_ms = flags.retry_backoff_ms;
-  if (flags.engine.deadline_ms != 0) {
-    std::fprintf(stderr,
-                 "warning: --deadline-ms is ignored by gcad; deadlines are "
-                 "per request (\"deadline_ms\" in the solve op)\n");
-  }
+  options.retries = args.has("retries") ? flags.retries : 1u;
+  options.retry_backoff_ms = retry_backoff_ms;
   // Two durability layers compose: the queue journal (--journal) replays
   // accepted-but-unfinished *queries*, and --checkpoint-dir resumes each
   // replayed query's *solve* mid-lattice from its per-query GSKP artifact
   // (DESIGN.md §15).
-  options.checkpoint_dir = flags.engine.checkpoint_dir;
-  if (flags.engine.wants_metrics()) {
-    std::fprintf(stderr,
-                 "warning: --trace-out/--metrics-out are ignored by gcad "
-                 "(service counters go to stderr)\n");
-  }
+  options.checkpoint_dir = flags.checkpoint_dir;
   require(args.get_int("queue-cap", 256) >= 1, "--queue-cap must be >= 1");
   options.admission.queue_capacity =
       static_cast<std::size_t>(args.get_int("queue-cap", 256));

@@ -2,7 +2,7 @@
 //
 //   $ ./gcal_run program.gcal --generate gnp:0.2 --n 16
 //   $ ./gcal_run --builtin hirschberg --generate complete --n 8 --verify
-//   $ ./gcal_run --builtin hirschberg --n 64 --threads 4 --policy pool
+//   $ ./gcal_run --builtin hirschberg --n 64 --threads 4
 //   $ ./gcal_run --builtin hirschberg --n 64 --trace-out run.trace.json
 //   $ ./gcal_run --builtin hirschberg --n 256 --deadline-ms 500
 //   $ ./gcal_run --show-builtin          # print the embedded program

@@ -7,8 +7,7 @@
 //
 // Usage:
 //   sparse_resilient_cc [--n 20000] [--sparse-mode sync|auto]
-//                       [--threads 1]
-//                       [--policy pool] [--seed 7] [--rate 0.05]
+//                       [--threads 1] [--seed 7] [--rate 0.05]
 //                       [--checkpoint-dir DIR] [--round-delay-us N]
 //
 //   --n               ring size (the graph is a single n-cycle: one
@@ -112,7 +111,6 @@ int main(int argc, char** argv) {
   gcalib::core::RunOptions options;
   options.instrument = false;
   options.threads = engine.threads;
-  options.policy = engine.policy;
   options.sparse_mode = engine.sparse_mode;
   options.certify = true;
   options.recovery.checkpoint_interval = 1;  // anchor + GSKP every round

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Engine benchmark: sweep scheduling (dense whole-field vs sparse
-# active-region), spawn-per-step vs persistent pool, and the cost of the
-# metrics layer.
+# active-region), the bulk-kernel variants, one thread vs the persistent
+# pool, and the cost of the metrics layer.
 #
 # Builds bench_scaling from a **Release** tree and records the
 # GcaHirschberg{Dense,Sparse}[Pool], GcaKernels{Scalar,Auto}, EngineSweep*
 # and *Traced series (median of N repetitions) into a machine-readable JSON
-# file, then prints the sparse-over-dense, auto-kernel-over-scalar and
-# pool-over-spawn speedups and the metrics-sink overhead.
+# file, then prints the sparse-over-dense and auto-kernel-over-scalar
+# speedups and the metrics-sink overhead.
 #
 # Numbers from unoptimised builds are meaningless, so the script refuses to
 # run against a tree whose CMAKE_BUILD_TYPE is not Release (set
@@ -45,7 +45,7 @@ fi
 cmake --build "$BUILD_DIR" --target bench_scaling -j "$(nproc)"
 
 "$BUILD_DIR"/bench/bench_scaling \
-  --benchmark_filter='^BM_(EngineSweep(Sequential|Spawn|Pool|PoolTraced)|GcaHirschberg|GcaHirschberg(Dense|Sparse|DensePool|SparsePool|Spawn|Pool|Traced)|GcaKernels(Scalar|Auto))/' \
+  --benchmark_filter='^BM_(EngineSweep(Sequential|Pool|PoolTraced)|GcaHirschberg|GcaHirschberg(Dense|Sparse|DensePool|SparsePool|Pool|Traced)|GcaKernels(Scalar|Auto))/' \
   --benchmark_repetitions="$REPS" \
   --benchmark_report_aggregates_only=true \
   --benchmark_out="$OUT" \
@@ -84,8 +84,6 @@ ratio_table("sparse speedup over dense, pool x8:",
             "BM_GcaHirschbergDensePool", "BM_GcaHirschbergSparsePool")
 ratio_table("auto-kernel speedup over the scalar golden reference:",
             "BM_GcaKernelsScalar", "BM_GcaKernelsAuto")
-ratio_table("pool speedup over spawn (median wall-clock per step):",
-            "Spawn", "Pool")
 print("metrics-sink overhead (median, traced / plain):")
 for traced_name, t_traced in sorted(medians.items()):
     if "Traced/" not in traced_name:

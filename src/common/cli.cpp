@@ -100,7 +100,6 @@ namespace cli {
 std::map<std::string, bool> with_engine_flags(
     std::map<std::string, bool> spec) {
   spec.emplace("threads", true);
-  spec.emplace("policy", true);
   spec.emplace("sweep", true);
   spec.emplace("sparse-mode", true);
   spec.emplace("kernels", true);
@@ -121,7 +120,6 @@ EngineFlags engine_flags(const CliArgs& args) {
     throw std::runtime_error("--threads must be >= 1");
   }
   flags.threads = static_cast<unsigned>(threads);
-  flags.policy = args.get_string("policy", flags.policy);
   flags.sweep = args.get_string("sweep", flags.sweep);
   flags.sparse_mode = args.get_string("sparse-mode", flags.sparse_mode);
   flags.kernels = args.get_string("kernels", flags.kernels);
@@ -140,24 +138,6 @@ EngineFlags engine_flags(const CliArgs& args) {
     throw std::runtime_error("--retries must be in [0, 1000]");
   }
   flags.retries = static_cast<unsigned>(retries);
-  return flags;
-}
-
-std::map<std::string, bool> with_runner_flags(
-    std::map<std::string, bool> spec) {
-  spec = with_engine_flags(std::move(spec));
-  spec.emplace("retry-backoff-ms", true);
-  return spec;
-}
-
-RunnerFlags runner_flags(const CliArgs& args) {
-  RunnerFlags flags;
-  flags.engine = engine_flags(args);
-  const std::int64_t backoff = args.get_int("retry-backoff-ms", 0);
-  if (backoff < 0) {
-    throw std::runtime_error("--retry-backoff-ms must be >= 0");
-  }
-  flags.retry_backoff_ms = backoff;
   return flags;
 }
 

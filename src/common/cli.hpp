@@ -46,8 +46,8 @@ namespace cli {
 
 /// The engine flags every tool accepts, so the engine backend and its
 /// observability are selectable uniformly across examples and benches:
-///   --threads N            sweep width (default 1)
-///   --policy NAME          sequential | spawn | pool (default "pool")
+///   --threads N            sweep width (default 1; above 1 the sweep runs
+///                          on the shared worker pool)
 ///   --sweep MODE           dense | sparse (default "sparse"): whether the
 ///                          engine honours per-generation active regions
 ///   --sparse-mode NAME     sync | auto (default "auto"): the CSR engine —
@@ -69,15 +69,13 @@ namespace cli {
 /// entry points (core::Runner, gcad) always run the CSR engine, and
 /// `gca_cc_tool --substrate dense|sparse_csr` picks one by name
 /// (DESIGN.md §12).
-/// The policy, sweep mode, sparse mode and kernel variant are carried as
-/// their spelled names; convert with gca::parse_execution_policy /
-/// gca::parse_sweep_mode / gca::parse_sparse_mode /
-/// gca::parse_kernel_variant (or build validated engine options with
-/// gca::options_from_flags) at the point of use — common/ stays below gca/
-/// in the layering.
+/// The sweep mode, sparse mode and kernel variant are carried as their
+/// spelled names; convert with gca::parse_sweep_mode /
+/// gca::parse_sparse_mode / gca::parse_kernel_variant (or build validated
+/// engine options with gca::options_from_flags) at the point of use —
+/// common/ stays below gca/ in the layering.
 struct EngineFlags {
   unsigned threads = 1;
-  std::string policy = "pool";
   std::string sweep = "sparse";
   std::string sparse_mode = "auto";
   std::string kernels = "auto";
@@ -100,26 +98,10 @@ struct EngineFlags {
     std::map<std::string, bool> spec);
 
 /// Extracts the shared engine flags; throws std::runtime_error on invalid
-/// values (e.g. --threads 0).
+/// values (e.g. --threads 0).  Flags missing from the tool's spec read as
+/// their defaults, so a tool that declares only a subset (gcad) still gets
+/// the same checks for the flags it does declare.
 [[nodiscard]] EngineFlags engine_flags(const CliArgs& args);
-
-/// The service/batch flags of tools that drive a `core::Runner` (today:
-/// gcad) on top of the engine flags:
-///   --retry-backoff-ms N   base backoff between retry attempts, doubled
-///                          per retry and clamped to the deadline budget
-struct RunnerFlags {
-  EngineFlags engine;
-  std::int64_t retry_backoff_ms = 0;
-};
-
-/// Adds the shared runner options (a superset of the engine options) to a
-/// tool's option spec.
-[[nodiscard]] std::map<std::string, bool> with_runner_flags(
-    std::map<std::string, bool> spec);
-
-/// Extracts the shared runner flags; throws std::runtime_error on invalid
-/// values.
-[[nodiscard]] RunnerFlags runner_flags(const CliArgs& args);
 
 }  // namespace cli
 

@@ -13,10 +13,9 @@
 //    Declared here, defined next to `HirschbergGca`, and reached only by
 //    name — tests, benches and `gca_cc_tool --substrate dense`.
 //
-// Both consume the same `RunOptions` (threads / policy / deadline / cancel /
-// metrics sink / self_check) and produce the same min-node-id canonical
-// labeling, bit-identical to each other and across every execution backend
-// and thread count.
+// Both consume the same `RunOptions` (threads / deadline / cancel / metrics
+// sink / self_check) and produce the same min-node-id canonical labeling,
+// bit-identical to each other and across thread counts.
 #pragma once
 
 #include <cstddef>
@@ -110,8 +109,8 @@ struct QueryOutcome {
 ///
 /// Contract shared by all implementations:
 ///  * `solve` returns the min-node-id labeling, deterministically —
-///    bit-identical across execution policies and thread counts;
-///  * honoured RunOptions: instrument, threads, policy, self_check, sink,
+///    bit-identical across thread counts;
+///  * honoured RunOptions: instrument, threads, self_check, sink,
 ///    deadline_ms, cancel.  Substrate-specific hooks (the dense field's
 ///    before_step / after_step / detect / recovery / checkpoint_dir /
 ///    record_access) are honoured where they exist and ignored where the

@@ -547,9 +547,6 @@ RunResult HirschbergGca::run(const RunOptions& options) {
   engine_->set_options(gca::EngineOptions{}
                            .with_hands(engine_->hands())
                            .with_threads(options.threads)
-                           .with_policy(options.threads > 1
-                                            ? options.policy
-                                            : gca::ExecutionPolicy::kSequential)
                            .with_instrumentation(options.instrument)
                            .with_record_access(options.record_access)
                            .with_sweep(options.sweep)

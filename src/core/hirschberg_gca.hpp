@@ -177,10 +177,8 @@ struct RecoveryPolicy {
 struct RunOptions {
   bool instrument = true;      ///< collect per-step congestion statistics
   bool record_access = false;  ///< record individual access edges (slow)
-  unsigned threads = 1;        ///< parallel sweep width
-  /// Sweep backend for threads > 1 (default: the persistent shared pool;
-  /// kSpawn recreates the legacy spawn-per-generation behaviour).
-  gca::ExecutionPolicy policy = gca::ExecutionPolicy::kPool;
+  /// Sweep width: 1 sweeps on the calling thread, more on the shared pool.
+  unsigned threads = 1;
   /// Whether the engine honours the per-generation active regions of the
   /// Figure-2 state machine (kSparse, the default: work proportional to
   /// the active cells) or sweeps the whole field every generation (kDense:

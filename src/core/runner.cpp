@@ -141,7 +141,6 @@ RunOptions Runner::single_query_options() const {
   RunOptions run_options;
   run_options.instrument = options_.instrument;
   run_options.threads = options_.threads;
-  run_options.policy = options_.policy;
   run_options.sparse_mode = options_.sparse_mode;
   run_options.sink = options_.sink;
   run_options.deadline_ms = options_.deadline_ms;
@@ -168,12 +167,11 @@ std::vector<QueryOutcome> Runner::solve_batch(
   // sibling queries would race on one artifact file.
   RunOptions run_options = single_query_options();
   run_options.threads = 1;
-  run_options.policy = gca::ExecutionPolicy::kSequential;
   run_options.checkpoint_dir.clear();
 
   const unsigned lanes = static_cast<unsigned>(
       std::min<std::size_t>(options_.threads, graphs.size()));
-  if (options_.policy != gca::ExecutionPolicy::kPool || lanes <= 1) {
+  if (lanes <= 1) {
     for (std::size_t i = 0; i < graphs.size(); ++i) {
       outcomes[i] = attempt_query(SolverInput(graphs[i]), i, run_options);
     }

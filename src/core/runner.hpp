@@ -57,11 +57,9 @@ struct RunOptions;  // core/hirschberg_gca.hpp
 
 /// Knobs of a Runner instance (validated by the constructor).
 struct RunnerOptions {
-  unsigned threads = 1;  ///< pool width (1 = everything sequential)
-  /// Backend for the per-query round-loop sweep in `solve`; `solve_batch`
-  /// uses the pool across queries whenever the policy is kPool and
-  /// threads > 1.
-  gca::ExecutionPolicy policy = gca::ExecutionPolicy::kPool;
+  /// Pool width (1 = everything sequential).  `solve` sweeps a round-loop
+  /// query across this many lanes; `solve_batch` spreads queries over them.
+  unsigned threads = 1;
   /// Engine of the CSR solver (DESIGN.md §14): kAuto (the default) runs
   /// the link pass unless a query asks for a round-loop feature; kSync pins
   /// the double-buffered hook + jump reference.  The labeling is identical
@@ -153,9 +151,9 @@ class Runner {
   [[nodiscard]] QueryOutcome attempt_query(const SolverInput& input,
                                            std::size_t index,
                                            const RunOptions& base) const;
-  /// RunOptions for a lone query: the full thread budget, policy and
-  /// sparse mode (a single query has the whole pool to itself).  Batch
-  /// options derive from these.
+  /// RunOptions for a lone query: the full thread budget and sparse mode
+  /// (a single query has the whole pool to itself).  Batch options derive
+  /// from these.
   [[nodiscard]] RunOptions single_query_options() const;
   [[nodiscard]] QueryResult unwrap(QueryOutcome outcome) const;
 

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -50,21 +48,16 @@ struct StopState {
   }
 };
 
-/// Runs per-lane bodies over the configured backend (sequential / spawn /
-/// persistent pool) with per-lane exception capture; the first captured
-/// exception is rethrown on the calling thread after all lanes joined.
-/// The pool's epoch handshake (and the spawn join) is the barrier that
-/// makes every lane's plain writes visible to the caller.
+/// Runs per-lane bodies on the calling thread (one lane) or on the shared
+/// pool, which rethrows the first lane exception on the calling thread
+/// after all lanes finished.  The pool's epoch handshake is the barrier
+/// that makes every lane's plain writes visible to the caller.
 class SweepBackend {
  public:
-  SweepBackend(unsigned threads, gca::ExecutionPolicy policy, std::size_t n)
-      : lanes_(policy == gca::ExecutionPolicy::kSequential
-                   ? 1u
-                   : static_cast<unsigned>(std::min<std::size_t>(
-                         threads, std::max<std::size_t>(n, 1)))) {
-    if (lanes_ > 1 && policy == gca::ExecutionPolicy::kPool) {
-      pool_ = gca::ThreadPool::shared(lanes_);
-    }
+  SweepBackend(unsigned threads, std::size_t n)
+      : lanes_(static_cast<unsigned>(
+            std::min<std::size_t>(threads, std::max<std::size_t>(n, 1)))) {
+    if (lanes_ > 1) pool_ = gca::ThreadPool::shared(lanes_);
   }
 
   [[nodiscard]] unsigned lanes() const { return lanes_; }
@@ -76,35 +69,15 @@ class SweepBackend {
       fn(0u);
       return;
     }
-    std::vector<std::exception_ptr> errors(lanes_);
-    auto lane_fn = [&](unsigned lane) {
-      try {
-        fn(lane);
-      } catch (...) {
-        errors[lane] = std::current_exception();
-      }
-    };
-    if (pool_ != nullptr) {
-      pool_->run(lanes_, lane_fn);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(lanes_ - 1);
-      for (unsigned lane = 1; lane < lanes_; ++lane) {
-        workers.emplace_back(lane_fn, lane);
-      }
-      lane_fn(0);
-      for (std::thread& worker : workers) worker.join();
-    }
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
+    auto lane_fn = [&fn](unsigned lane) { fn(lane); };
+    pool_->run(lanes_, lane_fn);
   }
 
   /// Runs `body(lane, begin, end)` over a deterministic contiguous
   /// count-equal partition of [0, n) and returns the summed per-lane
   /// results.  The partition is fixed by (n, lanes) alone and every sweep
   /// writes only its own `next` slots, so results are bit-identical across
-  /// backends and lane counts.
+  /// lane counts.
   template <typename Body>
   std::size_t sweep(std::size_t n, const Body& body) const {
     if (lanes_ <= 1 || n == 0) return body(0, 0, n);
@@ -743,10 +716,6 @@ QueryResult SparseCcSolver::solve(const SolverInput& input,
 
   GCALIB_EXPECTS_MSG(options.threads >= 1,
                      "sparse-csr: threads must be >= 1");
-  GCALIB_EXPECTS_MSG(
-      !(options.threads > 1 &&
-        options.policy == gca::ExecutionPolicy::kSequential),
-      "sparse-csr: threads > 1 requires a parallel policy (spawn or pool)");
 
   StopState stop;
   stop.cancel = options.cancel;
@@ -768,7 +737,7 @@ QueryResult SparseCcSolver::solve(const SolverInput& input,
     result = solve_link(input, options, stop);
   } else {
     const graph::CsrGraph& csr = input.csr();
-    const SweepBackend backend(options.threads, options.policy, n);
+    const SweepBackend backend(options.threads, n);
     result = resilient ? solve_resilient(csr, options, stop, backend)
                        : solve_sync(csr, options, stop, backend, nullptr);
   }

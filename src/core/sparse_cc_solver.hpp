@@ -18,15 +18,14 @@
 //    label-propagation form of the same hook) alternate with pointer-jump
 //    sweeps (next[v] = d[d[v]]) until stable.  Every sweep is a pure
 //    function of the previous buffer, so the result — and the whole sweep
-//    history — is bit-identical across execution policies, thread counts
-//    and lane partitions.  Hook lanes are partitioned by degree prefix
+//    history — is bit-identical across thread counts and lane partitions.  Hook lanes are partitioned by degree prefix
 //    (CsrGraph::edge_balanced_boundaries) so skewed graphs keep every lane
 //    loaded.
 //
 // Both end in the same canonical min-id labeling.
 //
 // RunOptions honoured: instrument, sink (one "link" step, or the sync
-// loop's "hook#" / "jump#" sweeps), threads and policy (sync only),
+// loop's "hook#" / "jump#" sweeps), threads (sync only),
 // sparse_mode, self_check, deadline_ms, cancel (polled every few thousand
 // edges) — plus the resilience surface (DESIGN.md §15), which runs on the
 // sync loop: sparse_before_round / sparse_after_round (between-sweep

@@ -75,8 +75,8 @@ struct TcRunResult {
                                                  bool instrument = true);
 
 /// As above with full execution control; `exec.hands` is overridden to 2
-/// (the machine is two-handed by construction).  A pool policy shares the
-/// process-wide worker set with every other engine of the same width.
+/// (the machine is two-handed by construction).  A width above one shares
+/// the process-wide worker set with every other engine of that width.
 [[nodiscard]] TcRunResult transitive_closure_gca(const BoolMatrix& a,
                                                  gca::EngineOptions exec);
 

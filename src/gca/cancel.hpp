@@ -1,7 +1,7 @@
 // Cooperative cancellation and deadlines for engine sweeps.
 //
 // A hung or pathological query must not wedge the service loop, so every
-// sweep backend (sequential / spawn / pool) polls a stop signal at chunk
+// sweep, on one thread or on the pool, polls a stop signal at chunk
 // boundaries: a few thousand cells of work at most elapse between polls,
 // and a tripped signal aborts the step *before* the double-buffer commit —
 // the field keeps the previous generation, so the machine stays in a

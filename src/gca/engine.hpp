@@ -33,15 +33,14 @@
 // kernel writes the next-state arrays directly (gca/kernels.hpp).
 //
 // Execution is configured through `EngineOptions` (gca/execution.hpp):
-// the sweep runs sequentially, on freshly spawned threads (legacy), or on
-// a persistent shared worker pool (gca/thread_pool.hpp).  Cells are
-// independent within a generation, so the parallel sweeps are
-// embarrassingly parallel; instrumentation is merged per-worker in lane
-// order, and all backends partition the active index set into the same
-// contiguous chunks, which keeps the three backends bit-identical.
-// Per-worker scratch (congestion counts, active counters) persists across
-// steps, so a steady-state pool step performs no allocation and no thread
-// creation.
+// one thread sweeps on the caller, more sweep on a persistent shared
+// worker pool (gca/thread_pool.hpp).  Cells are independent within a
+// generation, so the parallel sweep is embarrassingly parallel;
+// instrumentation is merged per-worker in lane order, and every width
+// partitions the active index set into contiguous chunks, which keeps the
+// results bit-identical across thread counts.  Per-worker scratch
+// (congestion counts, active counters) persists across steps, so a
+// steady-state pool step performs no allocation and no thread creation.
 //
 // Robustness extension points (used by src/fault/):
 //  * observers — callbacks invoked after every completed step, with the
@@ -69,7 +68,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -283,14 +281,6 @@ class Engine {
   explicit Engine(std::vector<State> initial)
       : Engine(std::move(initial), EngineOptions{}) {}
 
-  /// Legacy constructor (pre-EngineOptions API).  `hands` is the maximum
-  /// number of global reads one cell may perform per generation (1 = the
-  /// paper's one-handed GCA).
-  [[deprecated("construct with a validated EngineOptions aggregate: "
-               "Engine(states, EngineOptions{}.with_hands(h))")]]
-  Engine(std::vector<State> initial, std::size_t hands)
-      : Engine(std::move(initial), EngineOptions{}.with_hands(hands)) {}
-
   [[nodiscard]] std::size_t size() const { return store_.size(); }
   [[nodiscard]] std::size_t hands() const { return options_.hands; }
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
@@ -299,8 +289,8 @@ class Engine {
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
   /// Replaces the execution configuration wholesale (validated).  Safe
-  /// between steps; switching to the pool policy (re)acquires the shared
-  /// pool of the requested width.
+  /// between steps; a width above one (re)acquires the shared pool of that
+  /// width.  A rejected configuration leaves the options untouched.
   void set_options(const EngineOptions& options) {
     options.validate();
     options_ = options;
@@ -335,45 +325,12 @@ class Engine {
     store_.set_state(i, value);
   }
 
-  // --- legacy setters ([[deprecated]]: prefer EngineOptions/set_options) -
-  // All of them route through `set_options`, so an inconsistent combination
-  // (e.g. record_access on a parallel engine) is rejected at the setter —
-  // never mid-run.  They survive as thin wrappers for out-of-tree callers;
-  // every in-repo caller constructs a full EngineOptions instead.
-
-  /// Collects congestion statistics per step when enabled (default on;
-  /// disable for pure-speed runs).
-  [[deprecated("use set_options(EngineOptions{options()}"
-               ".with_instrumentation(enabled))")]]
-  void set_instrumentation(bool enabled) {
-    set_options(EngineOptions{options_}.with_instrumentation(enabled));
-  }
   [[nodiscard]] bool instrumentation() const { return options_.instrumentation; }
 
-  /// Records individual (reader, target) access edges of the most recent
-  /// step (for access-pattern rendering; implies instrumentation overhead).
-  /// Throws ContractViolation when the engine sweeps in parallel.
-  [[deprecated("use set_options(EngineOptions{options()}"
-               ".with_record_access(enabled))")]]
-  void set_record_access(bool enabled) {
-    set_options(EngineOptions{options_}.with_record_access(enabled));
-  }
+  /// Individual (reader, target) access edges of the most recent step,
+  /// recorded while `EngineOptions::record_access` is set; empty otherwise.
   [[nodiscard]] const std::vector<AccessEdge>& last_access() const {
     return last_access_;
-  }
-
-  /// Parallel sweep width (1 = sequential).  Keeps the legacy semantics:
-  /// widening a sequential engine selects the spawn-per-step backend; an
-  /// engine already on the pool policy stays there.
-  [[deprecated("use set_options(EngineOptions{options()}.with_threads(n)"
-               ".with_policy(...)) — the policy choice is explicit there")]]
-  void set_threads(unsigned threads) {
-    EngineOptions next = options_;
-    next.threads = threads;
-    if (threads > 1 && next.policy == ExecutionPolicy::kSequential) {
-      next.policy = ExecutionPolicy::kSpawn;
-    }
-    set_options(next);
   }
 
   /// Active-cell mask of the most recent step.  Maintained only while
@@ -848,8 +805,8 @@ class Engine {
       }
       if (options_.instrumentation) fold_counts(scratch_count(0), stats);
     } else {
-      // set_options/setters validate every configuration path, so a
-      // parallel sweep with access recording cannot be reached.
+      // set_options validates every configuration, so a parallel sweep
+      // with access recording cannot be reached.
       GCALIB_ASSERT_MSG(!options_.record_access,
                         "access-edge recording requires a sequential sweep");
       sweep_parallel(rule, region, work, stats, timed);
@@ -937,7 +894,7 @@ class Engine {
   }
 
   void acquire_pool() {
-    if (options_.policy == ExecutionPolicy::kPool && options_.threads > 1) {
+    if (options_.parallel()) {
       // The sweep is always partitioned into `threads` chunks (that fixes
       // the results and statistics), but more OS threads than cores only
       // adds context switching — so the pool is clamped to the hardware
@@ -979,8 +936,8 @@ class Engine {
 
   /// Partitions [0, work) into `threads` contiguous chunks and runs
   /// `chunk_fn(w, begin, end)` for each — every chunk exactly once — on
-  /// the configured parallel backend, recording per-lane timing into
-  /// `scratch_lanes_` when `timed`.
+  /// the shared pool, recording per-lane timing into `scratch_lanes_` when
+  /// `timed`.
   template <typename ChunkFn>
   void run_chunks(std::size_t work, bool timed, ChunkFn&& chunk_fn) {
     const unsigned t = options_.threads;
@@ -990,9 +947,9 @@ class Engine {
       const std::size_t begin = std::min(work, std::size_t{w} * chunk);
       const std::size_t end = std::min(work, begin + chunk);
       const std::uint64_t lane_start = timed ? now_ns() : 0;
-      // Chunk-boundary stop poll: both parallel backends capture lane
-      // exceptions and rethrow the first on the dispatching thread, so a
-      // tripped signal unwinds the step before the commit.
+      // Chunk-boundary stop poll: the pool captures lane exceptions and
+      // rethrows the first on the dispatching thread, so a tripped signal
+      // unwinds the step before the commit.
       if (has_stop_signal()) poll_stop();
       chunk_fn(w, begin, end);
       if (timed) {
@@ -1001,38 +958,18 @@ class Engine {
       }
     };
 
-    if (options_.policy == ExecutionPolicy::kPool) {
-      GCALIB_ASSERT(pool_ != nullptr);
-      // Lanes pull chunks off a shared cursor: each of the t chunks runs
-      // exactly once with its own scratch, so the result is bit-identical
-      // to the spawn backend even when the pool has fewer lanes.
-      std::atomic<unsigned> cursor{0};
-      auto pool_lane = [&lane, &cursor, t](unsigned) {
-        for (unsigned w = cursor.fetch_add(1, std::memory_order_relaxed);
-             w < t; w = cursor.fetch_add(1, std::memory_order_relaxed)) {
-          lane(w);
-        }
-      };
-      pool_->run(std::min(t, pool_->width()), pool_lane);
-    } else {
-      // Legacy spawn-per-step backend: fresh threads every generation.
-      scratch_errors_.assign(t, nullptr);
-      std::vector<std::thread> workers;
-      workers.reserve(t);
-      for (unsigned w = 0; w < t; ++w) {
-        workers.emplace_back([this, &lane, w]() {
-          try {
-            lane(w);
-          } catch (...) {
-            scratch_errors_[w] = std::current_exception();
-          }
-        });
+    GCALIB_ASSERT(pool_ != nullptr);
+    // Lanes pull chunks off a shared cursor: each of the t chunks runs
+    // exactly once with its own scratch, so the result depends on t alone,
+    // not on how many lanes the pool has.
+    std::atomic<unsigned> cursor{0};
+    auto pool_lane = [&lane, &cursor, t](unsigned) {
+      for (unsigned w = cursor.fetch_add(1, std::memory_order_relaxed); w < t;
+           w = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        lane(w);
       }
-      for (auto& worker : workers) worker.join();
-      for (const std::exception_ptr& error : scratch_errors_) {
-        if (error) std::rethrow_exception(error);
-      }
-    }
+    };
+    pool_->run(std::min(t, pool_->width()), pool_lane);
   }
 
   template <typename Rule>
@@ -1101,7 +1038,6 @@ class Engine {
   // Persistent parallel-sweep scratch (reused across steps).
   std::vector<std::vector<std::size_t>> scratch_counts_;
   std::vector<std::size_t> scratch_actives_;
-  std::vector<std::exception_ptr> scratch_errors_;
   std::vector<LaneTiming> scratch_lanes_;
 };
 

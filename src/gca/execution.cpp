@@ -8,28 +8,6 @@
 
 namespace gcalib::gca {
 
-const char* to_string(ExecutionPolicy policy) {
-  switch (policy) {
-    case ExecutionPolicy::kSequential:
-      return "sequential";
-    case ExecutionPolicy::kSpawn:
-      return "spawn";
-    case ExecutionPolicy::kPool:
-      return "pool";
-  }
-  GCALIB_ASSERT_MSG(false, "unreachable execution policy");
-  return "?";
-}
-
-ExecutionPolicy parse_execution_policy(const std::string& name) {
-  if (name == "sequential" || name == "seq") return ExecutionPolicy::kSequential;
-  if (name == "spawn") return ExecutionPolicy::kSpawn;
-  if (name == "pool") return ExecutionPolicy::kPool;
-  GCALIB_EXPECTS_MSG(false, "unknown execution policy '" + name +
-                                "' (expected sequential | spawn | pool)");
-  return ExecutionPolicy::kSequential;
-}
-
 const char* to_string(SweepMode mode) {
   switch (mode) {
     case SweepMode::kDense:
@@ -71,9 +49,6 @@ SparseMode parse_sparse_mode(const std::string& name) {
 void EngineOptions::validate() const {
   GCALIB_EXPECTS_MSG(hands >= 1, "engine options: hands must be >= 1");
   GCALIB_EXPECTS_MSG(threads >= 1, "engine options: threads must be >= 1");
-  GCALIB_EXPECTS_MSG(!(threads > 1 && policy == ExecutionPolicy::kSequential),
-                     "engine options: threads > 1 requires a parallel policy "
-                     "(spawn or pool)");
   GCALIB_EXPECTS_MSG(!(record_access && parallel()),
                      "engine options: access-edge recording requires a "
                      "sequential sweep (threads == 1)");
@@ -87,7 +62,6 @@ EngineOptions options_from_flags(const cli::EngineFlags& flags) {
   const EngineOptions options =
       EngineOptions{}
           .with_threads(flags.threads)
-          .with_policy(parse_execution_policy(flags.policy))
           .with_instrumentation(flags.instrumentation)
           .with_record_access(flags.record_access)
           .with_sweep(parse_sweep_mode(flags.sweep))

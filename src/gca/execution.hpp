@@ -1,24 +1,20 @@
-// Execution policy and options of the GCA engine.
+// Execution options of the GCA engine.
 //
 // This header is deliberately light (no engine template, no <thread>) so
 // every consumer that only needs to *configure* an engine — run-option
 // structs, CLI front-ends, the Runner — can include it without pulling in
 // the sweep machinery.
 //
-// Policies:
-//  * kSequential — one thread sweeps all cells (the reference order; the
-//    only policy that supports access-edge recording);
-//  * kSpawn — the legacy backend: fresh std::threads are spawned and
-//    joined every generation.  Kept for comparison benchmarks and as the
-//    behaviour of the deprecated `set_threads` setter;
-//  * kPool — a persistent worker pool (gca/thread_pool.hpp) is dispatched
-//    per generation via an epoch handshake; the steady-state step performs
-//    no thread creation and no allocation.  Engines with the same width
-//    share one pool instance, so a process running many machines (the
-//    Runner, the fault-recovery re-executions, the GCAL interpreter) keeps
-//    a single worker set alive.
+// The sweep width alone picks the backend: `threads == 1` sweeps every
+// cell on the calling thread (the reference order, and the only width
+// that supports access-edge recording); `threads > 1` dispatches the
+// sweep to a persistent worker pool (gca/thread_pool.hpp) through an
+// epoch handshake, so a steady-state step performs no thread creation and
+// no allocation.  Engines of the same width share one pool instance, so a
+// process running many machines (the Runner, the fault-recovery
+// re-executions, the GCAL interpreter) keeps a single worker set alive.
 //
-// All policies produce bit-identical states and statistics: cells are
+// Every width produces bit-identical states and statistics: cells are
 // partitioned into the same contiguous chunks and instrumentation is
 // merged in worker order.
 #pragma once
@@ -33,19 +29,6 @@ struct EngineFlags;  // common/cli.hpp
 }  // namespace gcalib::cli
 
 namespace gcalib::gca {
-
-/// How the per-generation sweep over cells executes.
-enum class ExecutionPolicy {
-  kSequential,  ///< single-threaded reference sweep
-  kSpawn,       ///< spawn-and-join std::threads every generation (legacy)
-  kPool,        ///< persistent shared worker pool, dispatched per generation
-};
-
-/// Name of a policy ("sequential" / "spawn" / "pool").
-[[nodiscard]] const char* to_string(ExecutionPolicy policy);
-
-/// Inverse of `to_string`; throws ContractViolation on unknown names.
-[[nodiscard]] ExecutionPolicy parse_execution_policy(const std::string& name);
 
 /// Whether the engine honours per-step active regions.
 ///
@@ -104,7 +87,7 @@ enum class SparseMode {
 /// observationally identical to a dense sweep.
 ///
 /// Cells are enumerated in ascending linear index order; chunk partitions
-/// split the enumeration [0, count()) so all backends and both sweep modes
+/// split the enumeration [0, count()) so every width and both sweep modes
 /// agree on which lane touches which cell.
 struct ActiveRegion {
   std::size_t row_begin = 0;
@@ -169,13 +152,10 @@ struct ActiveRegion {
 /// enforces the cross-field rules:
 ///
 ///  * `hands >= 1` and `threads >= 1`;
-///  * `threads > 1` requires a parallel policy (kSpawn or kPool);
-///  * `record_access` requires an effectively sequential sweep
-///    (kSequential, or any policy with `threads == 1`).
+///  * `record_access` requires a sequential sweep (`threads == 1`).
 struct EngineOptions {
   std::size_t hands = 1;  ///< global reads one cell may perform per generation
-  unsigned threads = 1;   ///< sweep width (1 = sequential regardless of policy)
-  ExecutionPolicy policy = ExecutionPolicy::kSequential;
+  unsigned threads = 1;   ///< sweep width (1 = sequential, > 1 = pool)
   bool instrumentation = true;  ///< collect per-step congestion statistics
   bool record_access = false;   ///< record individual (reader, target) edges
   SweepMode sweep = SweepMode::kSparse;  ///< honour advertised active regions
@@ -196,10 +176,6 @@ struct EngineOptions {
   }
   EngineOptions& with_threads(unsigned value) {
     threads = value;
-    return *this;
-  }
-  EngineOptions& with_policy(ExecutionPolicy value) {
-    policy = value;
     return *this;
   }
   EngineOptions& with_instrumentation(bool value) {
@@ -224,27 +200,26 @@ struct EngineOptions {
   }
 
   /// True iff the sweep actually runs on more than one thread.
-  [[nodiscard]] bool parallel() const {
-    return policy != ExecutionPolicy::kSequential && threads > 1;
-  }
+  [[nodiscard]] bool parallel() const { return threads > 1; }
 
   /// Throws ContractViolation when the combination is inconsistent.
   void validate() const;
 };
 
 /// Builds a *validated* EngineOptions from the shared CLI engine flags
-/// (common/cli.hpp carries the policy / sweep / sparse mode / kernels as
-/// their spelled names so common/ stays below gca/; this is the one
-/// conversion point).
+/// (common/cli.hpp carries the sweep / sparse mode / kernels as their
+/// spelled names so common/ stays below gca/; this is the one conversion
+/// point).
 /// Throws ContractViolation on inconsistent combinations — e.g.
-/// `--record-access` with a parallel policy — so the tools can reject them
-/// at parse time (exit 2) instead of asserting mid-run.
+/// `--record-access` with `--threads 4` — so the tools can reject them at
+/// parse time (exit 2) instead of asserting mid-run.
 [[nodiscard]] EngineOptions options_from_flags(const cli::EngineFlags& flags);
 
 /// The exit-2 wrapper every tool shares: converts + validates the flags,
 /// printing `error: <diagnosis>` to stderr and exiting with status 2 on any
 /// inconsistent combination — so `gca_cc_tool`, `gcal_run`,
-/// `gca_resilient_cc` and `gcad` reject `--policy warp` identically.
+/// `gca_resilient_cc` and `sparse_resilient_cc` reject `--sweep warp`
+/// identically.
 [[nodiscard]] EngineOptions options_from_flags_or_exit(
     const cli::EngineFlags& flags);
 

@@ -17,10 +17,10 @@
 
 namespace gcalib::gca {
 
-/// Wall-clock timing of one lane (= chunk) of a parallel sweep.  Chunk w of
-/// the spawn backend always runs on thread w; the pool backend multiplexes
-/// chunks over its lanes but the chunk partition — and therefore this
-/// record's identity and cell range — is the same.
+/// Wall-clock timing of one lane (= chunk) of a parallel sweep.  The pool
+/// multiplexes chunks over its lanes, but the chunk partition — and
+/// therefore this record's identity and cell range — is fixed by the
+/// sweep width alone.
 struct LaneTiming {
   unsigned lane = 0;              ///< chunk index of the sweep partition
   std::uint64_t start_ns = 0;     ///< steady-clock stamp at chunk start

@@ -27,8 +27,7 @@
 //        and lane utilisation of the parallel sweeps.
 //
 // Timing fields vary run to run; the logical counters stay bit-identical
-// across the sequential/spawn/pool backends (tests/metrics_test.cpp pins
-// both properties).
+// across thread counts (tests/metrics_test.cpp pins both properties).
 #pragma once
 
 #include <atomic>

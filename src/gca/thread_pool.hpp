@@ -12,7 +12,7 @@
 //    is wide enough to include it, and decrements a pending counter;
 //  * the caller returns when the counter reaches zero.  Exceptions thrown
 //    by lanes are captured per-lane and the first one is rethrown on the
-//    calling thread, matching the spawn backend's semantics.
+//    calling thread.
 //
 // Steady state: zero thread creation, zero allocation (the task is passed
 // by reference), two mutex acquisitions plus condition-variable signalling

@@ -9,8 +9,8 @@
 //
 // Ascending enumeration is the determinism contract: chunking a worklist
 // by position partitions the same ordered index sequence the sequential
-// backend walks, so sequential/spawn/pool produce bit-identical fields at
-// any thread count (the same argument ActiveRegion::for_each makes).
+// sweep walks, so every thread count produces a bit-identical field (the
+// same argument ActiveRegion::for_each makes).
 // Worklists are typically built once per geometry from a pooled scratch
 // bitset (gca/bitplane.hpp) via `assign_from_bits` and cached.
 #pragma once

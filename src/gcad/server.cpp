@@ -51,7 +51,6 @@ Server::Server(ServerOptions options)
 
   core::RunnerOptions runner;
   runner.threads = options_.threads;
-  runner.policy = options_.policy;
   runner.instrument = false;
   runner.sink = options_.sink;
   runner.retries = options_.retries;

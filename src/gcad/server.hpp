@@ -53,7 +53,6 @@ namespace gcalib::gcad {
 
 struct ServerOptions {
   unsigned threads = 1;  ///< solve lanes (Runner pool width)
-  gca::ExecutionPolicy policy = gca::ExecutionPolicy::kPool;
   AdmissionConfig admission;  ///< `workers` is overridden with `threads`
   std::string journal_path;   ///< empty = no durability (accepted != durable)
   std::size_t max_batch = 16; ///< micro-batch ceiling

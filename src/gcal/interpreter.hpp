@@ -84,7 +84,7 @@ class Interpreter {
   /// Runs the program to completion on graph `g`; `hook` (optional)
   /// observes the field after every engine step.  `exec` selects the
   /// engine backend (`exec.hands` is overridden to 1 — gcal programs have
-  /// a single pointer clause); a pool policy shares the process-wide
+  /// a single pointer clause); a width above one shares the process-wide
   /// worker set.  `sink` (optional, non-owning) receives timed per-step
   /// statistics, labelled `name` / `name.subK` as in the hook.
   /// `deadline_ms` (0 = unlimited) bounds the run's wall clock; an expiry

@@ -26,17 +26,14 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
+/// The sweep width picks the backend: one thread sweeps on the caller,
+/// more on the shared pool.
 struct Backend {
   const char* name;
-  gca::ExecutionPolicy policy;
   unsigned threads;
 };
 
-std::vector<Backend> backends() {
-  return {{"sequential", gca::ExecutionPolicy::kSequential, 1},
-          {"spawn", gca::ExecutionPolicy::kSpawn, 4},
-          {"pool", gca::ExecutionPolicy::kPool, 4}};
-}
+std::vector<Backend> backends() { return {{"sequential", 1}, {"pool", 4}}; }
 
 TEST(Cancel, PreTrippedTokenAbortsEveryBackend) {
   const Graph g = graph::random_gnp(24, 0.1, 5);
@@ -48,7 +45,6 @@ TEST(Cancel, PreTrippedTokenAbortsEveryBackend) {
     RunOptions options;
     options.instrument = false;
     options.threads = backend.threads;
-    options.policy = backend.policy;
     options.cancel = &token;
     EXPECT_THROW((void)machine.run(options), gca::Cancelled);
     // The poll fires at step entry, before any work: nothing committed.
@@ -65,7 +61,6 @@ TEST(Cancel, MidRunCancellationAbortsEveryBackend) {
     RunOptions options;
     options.instrument = false;
     options.threads = backend.threads;
-    options.policy = backend.policy;
     options.cancel = &token;
     options.before_step = [&token](HirschbergGca&, const StepId& step) {
       if (step.iteration >= 1) token.request_cancel();
@@ -84,7 +79,6 @@ TEST(Cancel, ExpiredDeadlineAbortsEveryBackend) {
     RunOptions options;
     options.instrument = false;
     options.threads = backend.threads;
-    options.policy = backend.policy;
     options.deadline_ms = 1;
     options.before_step = [](HirschbergGca&, const StepId&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(3));

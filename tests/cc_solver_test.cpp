@@ -81,8 +81,7 @@ TEST(CcSolverOutcome, TrySolveMapsCancellationToStatus) {
 TEST(CcSolverOutcome, TrySolveMapsContractViolationToFailedPrecondition) {
   const graph::Graph g = two_components();
   RunOptions options;
-  options.threads = 2;
-  options.policy = gca::ExecutionPolicy::kSequential;  // invalid combination
+  options.threads = 0;  // invalid: the sweep needs at least one thread
   const QueryOutcome outcome =
       sparse_cc_solver().try_solve(SolverInput(g), options);
   EXPECT_FALSE(outcome.ok());

@@ -72,7 +72,6 @@ CliArgs parse_exec(std::initializer_list<const char*> argv_tail) {
 TEST(CliEngineFlags, Defaults) {
   const cli::EngineFlags exec = cli::engine_flags(parse_exec({}));
   EXPECT_EQ(exec.threads, 1u);
-  EXPECT_EQ(exec.policy, "pool");
   EXPECT_TRUE(exec.instrumentation);
   EXPECT_FALSE(exec.record_access);
   EXPECT_TRUE(exec.trace_out.empty());
@@ -85,13 +84,12 @@ TEST(CliEngineFlags, Defaults) {
 
 TEST(CliEngineFlags, ParsesAllFlags) {
   const cli::EngineFlags exec = cli::engine_flags(
-      parse_exec({"--threads", "8", "--policy", "spawn",
-                  "--no-instrumentation", "--record-access", "--n", "4",
+      parse_exec({"--threads", "8", "--no-instrumentation",
+                  "--record-access", "--n", "4",
                   "--trace-out", "run.trace.json", "--metrics-out=m.csv",
                   "--deadline-ms", "250", "--checkpoint-dir", "/tmp/ckpt",
                   "--retries=2"}));
   EXPECT_EQ(exec.threads, 8u);
-  EXPECT_EQ(exec.policy, "spawn");
   EXPECT_FALSE(exec.instrumentation);
   EXPECT_TRUE(exec.record_access);
   EXPECT_EQ(exec.trace_out, "run.trace.json");
@@ -138,31 +136,9 @@ TEST(CliEngineFlags, SubstrateIsNotAnEngineFlag) {
   EXPECT_THROW((void)parse_exec({"--substrate", "dense"}), std::runtime_error);
 }
 
-CliArgs parse_runner(std::initializer_list<const char*> argv_tail) {
-  std::vector<const char*> argv = {"prog"};
-  argv.insert(argv.end(), argv_tail.begin(), argv_tail.end());
-  return CliArgs::parse(static_cast<int>(argv.size()), argv.data(),
-                        cli::with_runner_flags({}));
-}
-
-TEST(CliRunnerFlags, DefaultsIncludeEngineFlags) {
-  const cli::RunnerFlags flags = cli::runner_flags(parse_runner({}));
-  EXPECT_EQ(flags.engine.threads, 1u);
-  EXPECT_EQ(flags.retry_backoff_ms, 0);
-}
-
-TEST(CliRunnerFlags, ParsesBackoffAndEngineFlags) {
-  const cli::RunnerFlags flags = cli::runner_flags(parse_runner(
-      {"--retry-backoff-ms", "40", "--threads", "2", "--policy=spawn"}));
-  EXPECT_EQ(flags.retry_backoff_ms, 40);
-  EXPECT_EQ(flags.engine.threads, 2u);
-  EXPECT_EQ(flags.engine.policy, "spawn");
-}
-
-TEST(CliRunnerFlags, RejectsNegativeBackoff) {
-  EXPECT_THROW(
-      (void)cli::runner_flags(parse_runner({"--retry-backoff-ms", "-5"})),
-      std::runtime_error);
+TEST(CliEngineFlags, PolicyIsNotAnEngineFlag) {
+  // --threads alone picks the sweep backend, so no tool declares --policy.
+  EXPECT_THROW((void)parse_exec({"--policy", "pool"}), std::runtime_error);
 }
 
 }  // namespace

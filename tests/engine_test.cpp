@@ -155,9 +155,7 @@ TEST(Engine, ReadOutOfRangeThrows) {
 TEST(Engine, ParallelSweepMatchesSequential) {
   const std::size_t n = 1000;
   IntEngine seq(iota_states(n));
-  IntEngine par(iota_states(n),
-                EngineOptions{}.with_threads(4).with_policy(
-                    ExecutionPolicy::kSpawn));
+  IntEngine par(iota_states(n), EngineOptions{}.with_threads(4));
   const auto rule = [n](std::size_t i, auto& read) -> std::optional<int> {
     return read((i * 7 + 3) % n) + 1;
   };
@@ -172,9 +170,7 @@ TEST(Engine, ParallelSweepMatchesSequential) {
 
 TEST(Engine, ParallelSweepMultipleGenerations) {
   const std::size_t n = 512;
-  IntEngine engine(iota_states(n),
-                   EngineOptions{}.with_threads(8).with_policy(
-                       ExecutionPolicy::kSpawn));
+  IntEngine engine(iota_states(n), EngineOptions{}.with_threads(8));
   for (int r = 0; r < 10; ++r) {
     engine.step([n](std::size_t i, auto& read) -> std::optional<int> {
       return read((i + 1) % n);
@@ -199,10 +195,8 @@ TEST(Engine, PoolSweepBitIdenticalToSequential) {
   for (int r = 0; r < 5; ++r) reference.step(rule);
 
   for (unsigned threads : {2u, 4u, 7u}) {
-    IntEngine pooled(iota_states(n), EngineOptions{}
-                                         .with_hands(2)
-                                         .with_threads(threads)
-                                         .with_policy(ExecutionPolicy::kPool));
+    IntEngine pooled(iota_states(n),
+                     EngineOptions{}.with_hands(2).with_threads(threads));
     for (int r = 0; r < 5; ++r) pooled.step(rule);
     EXPECT_EQ(pooled.states(), reference.states()) << "threads=" << threads;
     ASSERT_EQ(pooled.history().size(), reference.history().size());
@@ -218,25 +212,8 @@ TEST(Engine, PoolSweepBitIdenticalToSequential) {
   }
 }
 
-TEST(Engine, PoolAndSpawnBackendsAgree) {
-  const std::size_t n = 512;
-  const auto rule = [n](std::size_t i, auto& read) -> std::optional<int> {
-    return read((i * 31 + 7) % n) ^ static_cast<int>(i);
-  };
-  IntEngine spawn(iota_states(n), EngineOptions{}.with_threads(4).with_policy(
-                                      ExecutionPolicy::kSpawn));
-  IntEngine pool(iota_states(n), EngineOptions{}.with_threads(4).with_policy(
-                                     ExecutionPolicy::kPool));
-  for (int r = 0; r < 3; ++r) {
-    spawn.step(rule);
-    pool.step(rule);
-  }
-  EXPECT_EQ(spawn.states(), pool.states());
-}
-
 TEST(Engine, PoolPropagatesRuleExceptions) {
-  IntEngine engine(iota_states(256), EngineOptions{}.with_threads(4).with_policy(
-                                         ExecutionPolicy::kPool));
+  IntEngine engine(iota_states(256), EngineOptions{}.with_threads(4));
   EXPECT_THROW(engine.step([](std::size_t i, auto&) -> std::optional<int> {
     if (i == 200) throw std::runtime_error("boom");
     return 0;
@@ -250,38 +227,22 @@ TEST(Engine, PoolPropagatesRuleExceptions) {
 TEST(EngineOptions, ValidationRejectsBadCombinations) {
   EXPECT_THROW(EngineOptions{}.with_threads(0).validate(), ContractViolation);
   EXPECT_THROW(EngineOptions{}.with_hands(0).validate(), ContractViolation);
-  // record_access with a parallel policy is rejected...
-  EXPECT_THROW(EngineOptions{}
-                   .with_threads(4)
-                   .with_policy(ExecutionPolicy::kPool)
-                   .with_record_access(true)
-                   .validate(),
-               ContractViolation);
-  EXPECT_THROW(EngineOptions{}
-                   .with_threads(2)
-                   .with_policy(ExecutionPolicy::kSpawn)
-                   .with_record_access(true)
-                   .validate(),
-               ContractViolation);
-  // ...but a parallel policy degenerated to one thread is sequential.
-  EXPECT_NO_THROW(EngineOptions{}
-                      .with_policy(ExecutionPolicy::kPool)
-                      .with_record_access(true)
-                      .validate());
-  // threads > 1 under the sequential policy is a contradiction.
-  EXPECT_THROW(EngineOptions{}.with_threads(4).validate(), ContractViolation);
+  // record_access with a parallel sweep is rejected...
+  EXPECT_THROW(
+      EngineOptions{}.with_threads(4).with_record_access(true).validate(),
+      ContractViolation);
+  EXPECT_THROW(
+      EngineOptions{}.with_threads(2).with_record_access(true).validate(),
+      ContractViolation);
+  // ...but one thread is sequential.
+  EXPECT_NO_THROW(EngineOptions{}.with_record_access(true).validate());
+  // The width alone picks the pool: threads > 1 needs nothing else.
+  EXPECT_NO_THROW(EngineOptions{}.with_threads(4).validate());
+  EXPECT_TRUE(EngineOptions{}.with_threads(4).parallel());
+  EXPECT_FALSE(EngineOptions{}.parallel());
   EXPECT_THROW(
       (IntEngine{iota_states(4), EngineOptions{}.with_threads(0)}),
       ContractViolation);
-}
-
-TEST(EngineOptions, PolicyNamesRoundTrip) {
-  for (ExecutionPolicy policy :
-       {ExecutionPolicy::kSequential, ExecutionPolicy::kSpawn,
-        ExecutionPolicy::kPool}) {
-    EXPECT_EQ(parse_execution_policy(to_string(policy)), policy);
-  }
-  EXPECT_THROW((void)parse_execution_policy("warp"), ContractViolation);
 }
 
 TEST(Engine, SetOptionsSwitchesBackendBetweenSteps) {
@@ -290,8 +251,7 @@ TEST(Engine, SetOptionsSwitchesBackendBetweenSteps) {
     return read((i + 1) % 64);
   };
   engine.step(rule);
-  engine.set_options(EngineOptions{}.with_threads(4).with_policy(
-      ExecutionPolicy::kPool));
+  engine.set_options(EngineOptions{}.with_threads(4));
   engine.step(rule);
   engine.set_options(EngineOptions{});
   engine.step(rule);
@@ -301,37 +261,15 @@ TEST(Engine, SetOptionsSwitchesBackendBetweenSteps) {
   }
 }
 
-// The legacy setters survive only as [[deprecated]] wrappers over
-// set_options; until they are removed they must keep routing through the
-// same option validation.  These tests pin that wrapper behaviour, so they
-// are the one place allowed to call the deprecated API.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(Engine, LegacySettersRouteThroughOptions) {
-  IntEngine engine(iota_states(8));
-  engine.set_instrumentation(false);
-  EXPECT_FALSE(engine.options().instrumentation);
-  engine.set_record_access(true);
-  EXPECT_TRUE(engine.options().record_access);
-  engine.set_record_access(false);
-  engine.set_threads(2);  // legacy semantics: widening selects kSpawn
-  EXPECT_EQ(engine.options().threads, 2u);
-  EXPECT_EQ(engine.options().policy, ExecutionPolicy::kSpawn);
-}
-
-TEST(Engine, LegacyHandsConstructor) {
-  IntEngine engine(iota_states(3), /*hands=*/2);
-  EXPECT_EQ(engine.hands(), 2u);
-}
-
 TEST(Engine, RecordAccessRequiresSequentialSweep) {
   // The invalid combination is rejected when it is *formed* — by whichever
-  // setter arrives second — never mid-run from inside step().
+  // option change arrives second — never mid-run from inside step().
   IntEngine engine(iota_states(64));
-  engine.set_threads(4);
-  EXPECT_THROW(engine.set_record_access(true), ContractViolation);
-  // The rejected setter must not have modified the options.
+  engine.set_options(EngineOptions{engine.options()}.with_threads(4));
+  EXPECT_THROW(engine.set_options(
+                   EngineOptions{engine.options()}.with_record_access(true)),
+               ContractViolation);
+  // The rejected change must not have modified the options.
   EXPECT_FALSE(engine.options().record_access);
   EXPECT_EQ(engine.options().threads, 4u);
   EXPECT_NO_THROW(engine.step(
@@ -341,8 +279,10 @@ TEST(Engine, RecordAccessRequiresSequentialSweep) {
 TEST(Engine, ParallelThreadsRejectedAfterRecordAccess) {
   // Same combination formed in the other order.
   IntEngine engine(iota_states(64));
-  engine.set_record_access(true);
-  EXPECT_THROW(engine.set_threads(4), ContractViolation);
+  engine.set_options(EngineOptions{engine.options()}.with_record_access(true));
+  EXPECT_THROW(
+      engine.set_options(EngineOptions{engine.options()}.with_threads(4)),
+      ContractViolation);
   EXPECT_TRUE(engine.options().record_access);
   EXPECT_EQ(engine.options().threads, 1u);
   EXPECT_THROW(
@@ -350,8 +290,6 @@ TEST(Engine, ParallelThreadsRejectedAfterRecordAccess) {
           EngineOptions{}.with_threads(2).with_record_access(true)),
       ContractViolation);
 }
-
-#pragma GCC diagnostic pop
 
 TEST(Engine, MutableStateForHostInitialisation) {
   IntEngine engine(iota_states(3));
@@ -494,8 +432,7 @@ TEST(Engine, PoolStatsAtParallelBoundaryMatchSequential) {
   const GenerationStats expected = sequential.step(rule);
 
   IntEngine pooled(states);
-  pooled.set_options(
-      EngineOptions{}.with_threads(3).with_policy(ExecutionPolicy::kPool));
+  pooled.set_options(EngineOptions{}.with_threads(3));
   const GenerationStats actual = pooled.step(rule);
 
   EXPECT_EQ(actual.active_cells, expected.active_cells);
@@ -508,8 +445,7 @@ TEST(Engine, PoolStatsAtParallelBoundaryMatchSequential) {
   // More threads than the field can use: falls back to sequential, same
   // statistics again.
   IntEngine oversubscribed(states);
-  oversubscribed.set_options(
-      EngineOptions{}.with_threads(16).with_policy(ExecutionPolicy::kPool));
+  oversubscribed.set_options(EngineOptions{}.with_threads(16));
   const GenerationStats fallback = oversubscribed.step(rule);
   EXPECT_EQ(fallback.total_reads, expected.total_reads);
   EXPECT_EQ(fallback.congestion_classes, expected.congestion_classes);

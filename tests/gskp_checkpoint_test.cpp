@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,14 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/union_find.hpp"
+
+namespace gcalib::gca {
+
+// gtest prints a test parameter into the listed test name; by name, not as
+// raw bytes.
+void PrintTo(SparseMode mode, std::ostream* os) { *os << to_string(mode); }
+
+}  // namespace gcalib::gca
 
 namespace gcalib {
 namespace {

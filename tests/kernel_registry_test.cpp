@@ -136,13 +136,11 @@ struct Fingerprint {
 };
 
 Fingerprint run_machine(const graph::Graph& g, bool instrumented,
-                        KernelVariant kernels, unsigned threads,
-                        gca::ExecutionPolicy policy) {
+                        KernelVariant kernels, unsigned threads) {
   HirschbergGca machine(g);
   RunOptions options;
   options.instrument = instrumented;
   options.threads = threads;
-  options.policy = policy;
   options.kernels = kernels;
   Fingerprint fp;
   options.after_step = [&fp](core::HirschbergGca& m, const core::StepId&) {
@@ -161,26 +159,15 @@ Fingerprint run_machine(const graph::Graph& g, bool instrumented,
 /// so a kernel that diverges at inactive cells or in the p plane cannot
 /// hide behind a later all-overwriting generation.
 void expect_bit_identity(const graph::Graph& g, const std::string& what) {
-  const Fingerprint reference = run_machine(
-      g, /*instrumented=*/true, KernelVariant::kScalar, 1,
-      gca::ExecutionPolicy::kSequential);
+  const Fingerprint reference =
+      run_machine(g, /*instrumented=*/true, KernelVariant::kScalar, 1);
   ASSERT_FALSE(reference.steps.empty());
-  struct Backend {
-    gca::ExecutionPolicy policy;
-    unsigned threads;
-  };
-  std::vector<Backend> backends{{gca::ExecutionPolicy::kSequential, 1}};
-  for (const unsigned threads : {1u, 2u, 4u, 7u}) {
-    backends.push_back({gca::ExecutionPolicy::kSpawn, threads});
-    backends.push_back({gca::ExecutionPolicy::kPool, threads});
-  }
   for (const KernelVariant variant : variants_under_test()) {
-    for (const Backend& backend : backends) {
-      const Fingerprint fp = run_machine(g, /*instrumented=*/false, variant,
-                                         backend.threads, backend.policy);
+    for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+      const Fingerprint fp =
+          run_machine(g, /*instrumented=*/false, variant, threads);
       const std::string where = what + " / " + gca::to_string(variant) +
-                                " / " + gca::to_string(backend.policy) +
-                                " x " + std::to_string(backend.threads);
+                                " x " + std::to_string(threads);
       ASSERT_EQ(fp.labels, reference.labels) << where;
       ASSERT_EQ(fp.steps.size(), reference.steps.size()) << where;
       for (std::size_t step = 0; step < fp.steps.size(); ++step) {

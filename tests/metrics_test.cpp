@@ -224,8 +224,7 @@ TEST(Metrics, SinkReceivesTimedSteps) {
 
 TEST(Metrics, LaneTimingsCoverTheField) {
   IntEngine engine(iota_states(64));
-  engine.set_options(
-      EngineOptions{}.with_threads(4).with_policy(ExecutionPolicy::kPool));
+  engine.set_options(EngineOptions{}.with_threads(4));
   Trace trace;
   engine.add_sink(&trace);
   engine.step([](std::size_t i, auto& read) -> std::optional<int> {
@@ -289,7 +288,7 @@ TEST(Metrics, SinkRemovesItselfDuringCallback) {
 
 TEST(Metrics, LogicalStatsBitIdenticalAcrossBackends) {
   // The tentpole invariant: attaching a sink times the run but must not
-  // perturb any logical quantity, and the three backends agree bit for bit.
+  // perturb any logical quantity, and every sweep width agrees bit for bit.
   const auto states = iota_states(96);
   const auto rule = [](std::size_t i, auto& read) -> std::optional<int> {
     if (i % 7 == 3) return std::nullopt;
@@ -304,19 +303,15 @@ TEST(Metrics, LogicalStatsBitIdenticalAcrossBackends) {
     return std::pair<std::vector<int>, GenerationStats>(engine.states(), last);
   };
   const auto [seq_states, seq] = run(EngineOptions{});
-  const auto [spawn_states, spawn] = run(
-      EngineOptions{}.with_threads(4).with_policy(ExecutionPolicy::kSpawn));
-  const auto [pool_states, pool] = run(
-      EngineOptions{}.with_threads(4).with_policy(ExecutionPolicy::kPool));
-
-  EXPECT_EQ(spawn_states, seq_states);
-  EXPECT_EQ(pool_states, seq_states);
-  for (const GenerationStats* stats : {&spawn, &pool}) {
-    EXPECT_EQ(stats->active_cells, seq.active_cells);
-    EXPECT_EQ(stats->total_reads, seq.total_reads);
-    EXPECT_EQ(stats->cells_read, seq.cells_read);
-    EXPECT_EQ(stats->max_congestion, seq.max_congestion);
-    EXPECT_EQ(stats->congestion_classes, seq.congestion_classes);
+  for (const unsigned threads : {2u, 4u}) {
+    const auto [pool_states, pool] =
+        run(EngineOptions{}.with_threads(threads));
+    EXPECT_EQ(pool_states, seq_states) << "threads=" << threads;
+    EXPECT_EQ(pool.active_cells, seq.active_cells);
+    EXPECT_EQ(pool.total_reads, seq.total_reads);
+    EXPECT_EQ(pool.cells_read, seq.cells_read);
+    EXPECT_EQ(pool.max_congestion, seq.max_congestion);
+    EXPECT_EQ(pool.congestion_classes, seq.congestion_classes);
   }
 }
 

@@ -4,9 +4,9 @@
 //   SparseFault.*       — deterministic site-by-site behaviour: which
 //                         detector convicts which corruption, what the
 //                         ladder heals, and what exhausts it;
-//   SparseFaultMatrix.* — the efficacy matrix: site x
-//                         {sequential, spawn, pool} x threads {1,2,4,7},
-//                         384 randomized trials in total, with the one
+//   SparseFaultMatrix.* — the efficacy matrix: site x 8 rows over
+//                         threads {1,2,4,7} x 16 trials, 384 randomized
+//                         trials in total, with the one
 //                         non-negotiable contract that a faulted run may
 //                         heal or may fail loudly but must NEVER return a
 //                         silently wrong labeling.  Injected solves run
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,11 +24,18 @@
 #include "core/cc_solver.hpp"
 #include "core/hirschberg_gca.hpp"
 #include "fault/sparse_fault.hpp"
-#include "gca/execution.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/union_find.hpp"
+
+namespace gcalib::fault {
+
+// gtest prints a test parameter into the listed test name; by name, not as
+// raw bytes.
+void PrintTo(SparseFaultSite site, std::ostream* os) { *os << to_string(site); }
+
+}  // namespace gcalib::fault
 
 namespace gcalib {
 namespace {
@@ -54,11 +62,10 @@ std::vector<NodeId> cycle_oracle(NodeId n) {
 }
 
 
-core::RunOptions base_options(unsigned threads, gca::ExecutionPolicy policy) {
+core::RunOptions base_options(unsigned threads) {
   core::RunOptions options;
   options.instrument = false;
   options.threads = threads;
-  options.policy = policy;
   options.certify = true;
   return options;
 }
@@ -86,9 +93,7 @@ TEST(SparseFault, RaisingBitFlipIsDetectedAndHealed) {
 
   {
     fault::SparseInjector injector(SparseFaultPlan().add(flip));
-    core::RunOptions options =
-        base_options(1,
-                     gca::ExecutionPolicy::kSequential);
+    core::RunOptions options = base_options(1);
     injector.install(options);
     EXPECT_THROW(
         core::sparse_cc_solver().solve(core::SolverInput(csr), options),
@@ -97,9 +102,7 @@ TEST(SparseFault, RaisingBitFlipIsDetectedAndHealed) {
   }
   {
     fault::SparseInjector injector(SparseFaultPlan().add(flip));
-    core::RunOptions options =
-        base_options(1,
-                     gca::ExecutionPolicy::kSequential);
+    core::RunOptions options = base_options(1);
     options.recovery = healing_policy();
     injector.install(options);
     const core::QueryResult result =
@@ -133,8 +136,7 @@ TEST(SparseFault, LatticeLegalStuckVertexConvictedByCertificate) {
   pin.stuck_rounds = 1000;  // outlasts every re-run
   fault::SparseInjector injector(SparseFaultPlan().add(pin));
 
-  core::RunOptions options = base_options(1,
-                                          gca::ExecutionPolicy::kSequential);
+  core::RunOptions options = base_options(1);
   options.recovery = healing_policy();
   injector.install(options);
   try {
@@ -162,8 +164,7 @@ TEST(SparseFault, ExpiredStuckVertexHealsThroughTheLadder) {
   pin.stuck_rounds = 2;
   fault::SparseInjector injector(SparseFaultPlan().add(pin));
 
-  core::RunOptions options = base_options(1,
-                                          gca::ExecutionPolicy::kSequential);
+  core::RunOptions options = base_options(1);
   options.recovery = healing_policy();
   injector.install(options);
   const core::QueryResult result =
@@ -183,8 +184,7 @@ TEST(SparseFault, LostUpdateSelfHealsWithoutTheLadder) {
   lost.vertex = 77;
   fault::SparseInjector injector(SparseFaultPlan().add(lost));
 
-  core::RunOptions options =
-      base_options(1, gca::ExecutionPolicy::kSequential);
+  core::RunOptions options = base_options(1);
   injector.install(options);
   const core::QueryResult result =
       core::sparse_cc_solver().solve(core::SolverInput(csr), options);
@@ -198,8 +198,7 @@ TEST(SparseFault, InstallForcesMonitorsAndChainsHooks) {
   // label could be used as an index), and user hooks must keep running.
   const graph::CsrGraph csr = make_cycle(16);
   std::size_t user_rounds = 0;
-  core::RunOptions options =
-      base_options(1, gca::ExecutionPolicy::kSequential);
+  core::RunOptions options = base_options(1);
   options.certify = false;
   options.sparse_before_round =
       [&user_rounds](const core::SparseRoundContext&) { ++user_rounds; };
@@ -215,17 +214,17 @@ TEST(SparseFault, InstallForcesMonitorsAndChainsHooks) {
 // --- the efficacy matrix ------------------------------------------------
 
 struct ExecCombo {
-  gca::ExecutionPolicy policy;
+  /// Mixed into every trial seed of the row.  Rows sharing a width differ
+  /// by tag; the tags are the values the rows have always mixed in, so
+  /// every trial keeps its graph and fault storm.
+  std::uint64_t seed_tag;
   unsigned threads;
 };
 
-/// Sequential is only legal single-lane; spawn and pool cover the full
-/// thread axis {1, 2, 4, 7} between them.
+/// 8 rows over the thread axis {1, 2, 4, 7}: the width alone picks the
+/// sweep backend, and rows sharing a width differ by their seeds.
 const ExecCombo kCombos[] = {
-    {gca::ExecutionPolicy::kSequential, 1}, {gca::ExecutionPolicy::kSpawn, 2},
-    {gca::ExecutionPolicy::kSpawn, 4},      {gca::ExecutionPolicy::kSpawn, 7},
-    {gca::ExecutionPolicy::kPool, 1},       {gca::ExecutionPolicy::kPool, 2},
-    {gca::ExecutionPolicy::kPool, 4},       {gca::ExecutionPolicy::kPool, 7},
+    {0, 1}, {1, 2}, {1, 4}, {1, 7}, {2, 1}, {2, 2}, {2, 4}, {2, 7},
 };
 
 SparseFaultEvent draw_event(Xoshiro256& rng, SparseFaultSite site, NodeId n) {
@@ -274,7 +273,7 @@ void run_trial(SparseFaultSite site, const ExecCombo& combo,
   }
   fault::SparseInjector injector(plan);
 
-  core::RunOptions options = base_options(combo.threads, combo.policy);
+  core::RunOptions options = base_options(combo.threads);
   if (with_ladder) options.recovery = healing_policy();
   injector.install(options);
 
@@ -307,7 +306,7 @@ TEST_P(SparseFaultMatrix, NoSilentWrongAnswersAcrossModesAndBackends) {
       const std::uint64_t trial_seed =
           (static_cast<std::uint64_t>(site) << 40) ^
           (static_cast<std::uint64_t>(combo.threads) << 24) ^
-          (static_cast<std::uint64_t>(combo.policy) << 16) ^
+          (combo.seed_tag << 16) ^
           (trial * 2654435761ull);
       run_trial(site, combo, trial_seed, trial % 2 == 1, fired, detected);
     }

@@ -28,7 +28,6 @@ namespace {
 
 struct Backend {
   const char* name;
-  gca::ExecutionPolicy policy;
   unsigned threads;
 };
 
@@ -36,13 +35,10 @@ struct Backend {
 // field sizes in play, so arc-chunk boundary bugs cannot hide behind even
 // partitions.
 const Backend kBackends[] = {
-    {"sequential", gca::ExecutionPolicy::kSequential, 1},
-    {"spawn x2", gca::ExecutionPolicy::kSpawn, 2},
-    {"spawn x4", gca::ExecutionPolicy::kSpawn, 4},
-    {"spawn x7", gca::ExecutionPolicy::kSpawn, 7},
-    {"pool x2", gca::ExecutionPolicy::kPool, 2},
-    {"pool x4", gca::ExecutionPolicy::kPool, 4},
-    {"pool x7", gca::ExecutionPolicy::kPool, 7},
+    {"sequential", 1},
+    {"pool x2", 2},
+    {"pool x4", 4},
+    {"pool x7", 7},
 };
 
 struct Mode {
@@ -76,7 +72,6 @@ std::vector<graph::NodeId> solve_with(const graph::CsrGraph& csr,
   RunOptions options;
   options.instrument = false;
   options.threads = backend.threads;
-  options.policy = backend.policy;
   options.sparse_mode = mode.sparse_mode;
   return sparse_cc_solver().solve(SolverInput(csr), options).labels;
 }
@@ -113,7 +108,6 @@ TEST(SparseModeEquivalence, ComponentCountsAgreeWithTheOracle) {
     RunOptions options;
     options.instrument = false;
     options.threads = 4;
-    options.policy = gca::ExecutionPolicy::kPool;
     options.sparse_mode = mode.sparse_mode;
     const QueryResult result = sparse_cc_solver().solve(SolverInput(csr), options);
     EXPECT_EQ(result.components, oracle.set_count()) << mode.name;
@@ -127,7 +121,6 @@ TEST(SparseModeEquivalence, SelfCheckPassesInEveryMode) {
     RunOptions options;
     options.self_check = true;
     options.threads = 4;
-    options.policy = gca::ExecutionPolicy::kPool;
     options.sparse_mode = mode.sparse_mode;
     EXPECT_NO_THROW((void)sparse_cc_solver().solve(SolverInput(csr), options))
         << mode.name;
@@ -143,7 +136,7 @@ TEST(SparseModeEquivalence, TinyGraphsInEveryExplicitMode) {
     for (const Mode& mode : kModes) {
       EXPECT_EQ(solve_with(csr, mode, kBackends[0]), oracle)
           << "n=" << n << " " << mode.name;
-      EXPECT_EQ(solve_with(csr, mode, kBackends[4]), oracle)
+      EXPECT_EQ(solve_with(csr, mode, kBackends[1]), oracle)
           << "n=" << n << " " << mode.name;
     }
   }
@@ -159,8 +152,6 @@ TEST(SparseModeEquivalence, AutoLinksAndSyncHooksAtEveryWidth) {
   for (const unsigned threads : {1u, 4u}) {
     RunOptions options;
     options.threads = threads;
-    options.policy = threads > 1 ? gca::ExecutionPolicy::kPool
-                                 : gca::ExecutionPolicy::kSequential;
     gca::Trace trace;
     options.sink = &trace;
     options.instrument = true;

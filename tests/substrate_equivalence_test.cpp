@@ -30,19 +30,16 @@ namespace {
 
 struct Backend {
   const char* name;
-  gca::ExecutionPolicy policy;
   unsigned threads;
 };
 
 // The {1,2,4,7} thread matrix: 7 is deliberately not a divisor of typical
 // field sizes, so chunk-boundary bugs cannot hide behind even partitions.
 const Backend kBackends[] = {
-    {"sequential", gca::ExecutionPolicy::kSequential, 1},
-    {"spawn x2", gca::ExecutionPolicy::kSpawn, 2},
-    {"spawn x7", gca::ExecutionPolicy::kSpawn, 7},
-    {"pool x2", gca::ExecutionPolicy::kPool, 2},
-    {"pool x4", gca::ExecutionPolicy::kPool, 4},
-    {"pool x7", gca::ExecutionPolicy::kPool, 7},
+    {"sequential", 1},
+    {"pool x2", 2},
+    {"pool x4", 4},
+    {"pool x7", 7},
 };
 
 std::vector<graph::NodeId> solve_on(const CcSolver& solver,
@@ -51,7 +48,6 @@ std::vector<graph::NodeId> solve_on(const CcSolver& solver,
   RunOptions options;
   options.instrument = false;
   options.threads = backend.threads;
-  options.policy = backend.policy;
   return solver.solve(SolverInput(g), options).labels;
 }
 
@@ -131,7 +127,6 @@ TEST(SubstrateEquivalence, LargeSparseGraphParallelMatchesSequential) {
     RunOptions parallel;
     parallel.instrument = false;
     parallel.threads = threads;
-    parallel.policy = gca::ExecutionPolicy::kPool;
     EXPECT_EQ(sparse_cc_solver().solve(SolverInput(csr), parallel).labels,
               reference)
         << threads << " threads";

@@ -122,8 +122,9 @@ void expect_logically_identical(const RunResult& a, const RunResult& b,
 }
 
 TEST(SweepIdentity, DenseAndSparseAgreeAcrossBackendsAndThreads) {
-  // The acceptance matrix: sparse-vs-dense x threads {1,2,4,7} x
-  // sequential/spawn/pool.  Baseline: dense, sequential, single thread.
+  // The acceptance matrix: sparse-vs-dense x threads {1,2,4,7} (one
+  // thread sweeps on the caller, more on the pool).  Baseline: dense,
+  // single thread.
   const graph::Graph g = graph::random_gnp(33, 0.12, 9);
 
   RunOptions base_options;
@@ -132,26 +133,18 @@ TEST(SweepIdentity, DenseAndSparseAgreeAcrossBackendsAndThreads) {
   const RunResult base = baseline.run(base_options);
   const auto base_states = baseline.engine().states();
 
-  const ExecutionPolicy policies[] = {
-      ExecutionPolicy::kSequential, ExecutionPolicy::kSpawn,
-      ExecutionPolicy::kPool};
   for (const SweepMode sweep : {SweepMode::kDense, SweepMode::kSparse}) {
     for (const unsigned threads : {1u, 2u, 4u, 7u}) {
-      for (const ExecutionPolicy policy : policies) {
-        if (policy == ExecutionPolicy::kSequential && threads > 1) continue;
-        RunOptions options;
-        options.sweep = sweep;
-        options.threads = threads;
-        options.policy = policy;
-        HirschbergGca machine(g);
-        const RunResult result = machine.run(options);
-        const std::string what = std::string(to_string(sweep)) + "/" +
-                                 to_string(policy) + "/t" +
-                                 std::to_string(threads);
-        expect_logically_identical(result, base, what);
-        // The final field itself is byte-equal, not just the labels.
-        EXPECT_EQ(machine.engine().states(), base_states) << what;
-      }
+      RunOptions options;
+      options.sweep = sweep;
+      options.threads = threads;
+      HirschbergGca machine(g);
+      const RunResult result = machine.run(options);
+      const std::string what =
+          std::string(to_string(sweep)) + "/t" + std::to_string(threads);
+      expect_logically_identical(result, base, what);
+      // The final field itself is byte-equal, not just the labels.
+      EXPECT_EQ(machine.engine().states(), base_states) << what;
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -23,6 +24,12 @@ struct Case {
   NodeId n;
   gca::SweepMode sweep;
 };
+
+// gtest prints a test parameter into the listed test name; as values, not
+// as raw bytes.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "(" << c.n << ", " << to_string(c.sweep) << ")";
+}
 
 class Table1Golden : public ::testing::TestWithParam<Case> {};
 
