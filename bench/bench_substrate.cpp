@@ -10,7 +10,9 @@
 // (scripts/bench_substrate.sh wraps this and writes BENCH_substrate.json).
 // Each rung carries a per-thread time series plus speedup-vs-sequential
 // columns; a null dense_ms always carries the explicit reason it was
-// skipped.
+// skipped.  After the ladder, one-lane link-pass rows on named input
+// families at n = 2^19 show what the pass's mid-pass jumps cost on inputs
+// that never need them and gain on those that do.
 //
 // Graphs above the dense ceiling never materialise a dense representation
 // at all: edges are sampled directly into `CsrGraph::from_edges`, which is
@@ -18,11 +20,16 @@
 //
 //   $ ./bench_substrate [--max-edges 1000000 --threads 1,2,4,8 --reps 3
 //                        --seed 1 --out BENCH_substrate.json]
+//
+// `--max-edges 0` runs the family rows alone.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -31,6 +38,7 @@
 #include "core/hirschberg_gca.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
+#include "graph/union_find.hpp"
 
 namespace {
 
@@ -45,6 +53,9 @@ struct Case {
 
 /// Largest n the dense (n+1) x n field is still benchmarked at.
 constexpr graph::NodeId kDenseCeiling = 1024;
+
+/// Vertex count of the link-pass family rows: offline-1m's.
+constexpr graph::NodeId kFamilyN = 1u << 19;
 
 graph::CsrGraph sample_graph(graph::NodeId n, std::size_t target_edges,
                              std::uint64_t seed) {
@@ -81,6 +92,61 @@ double best_solve_ms(const core::CcSolver& solver,
     if (r == 0 || ms < best) best = ms;
   }
   return best;
+}
+
+/// `m` uniform endpoint pairs without self-loops, duplicates kept: the
+/// pairs an offline caller hands `from_edges`.
+std::vector<graph::Edge> random_pairs(graph::NodeId n, std::size_t m,
+                                      Xoshiro256& rng) {
+  std::vector<graph::Edge> edges;
+  edges.reserve(m);
+  while (edges.size() < m) {
+    const auto u = static_cast<graph::NodeId>(rng.below(n));
+    const auto v = static_cast<graph::NodeId>(rng.below(n));
+    if (u != v) edges.push_back({u, v});
+  }
+  return edges;
+}
+
+/// The link-pass family rows: inputs that never splice (paths, a star, two
+/// cliques), a path whose ids and edge order are random (deep chains that
+/// splice), and G(n, m) from sparse to dense, all as `from_edges` pairs.
+std::vector<std::pair<std::string, std::vector<graph::Edge>>> link_families(
+    std::uint64_t seed) {
+  using graph::Edge;
+  using graph::NodeId;
+  constexpr NodeId n = kFamilyN;
+  Xoshiro256 rng(seed);
+  std::vector<std::pair<std::string, std::vector<Edge>>> out;
+  std::vector<Edge> path;
+  for (NodeId v = 0; v + 1 < n; ++v) path.push_back({v, v + 1});
+  out.emplace_back("path", path);
+  out.emplace_back("path-desc", std::vector<Edge>(path.rbegin(), path.rend()));
+  std::vector<Edge> star;
+  for (NodeId v = 1; v < n; ++v) star.push_back({0, v});
+  out.emplace_back("star", std::move(star));
+  // Two k-cliques bridged by one edge, ~2n pairs; the other ids isolated.
+  constexpr NodeId k = 1024;
+  std::vector<Edge> cliques;
+  for (NodeId a = 0; a < k; ++a) {
+    for (NodeId b = a + 1; b < k; ++b) {
+      cliques.push_back({a, b});
+      cliques.push_back({k + a, k + b});
+    }
+  }
+  cliques.push_back({k - 1, k});
+  out.emplace_back("two-cliques", std::move(cliques));
+  std::vector<NodeId> ids(n);
+  std::iota(ids.begin(), ids.end(), NodeId{0});
+  std::shuffle(ids.begin(), ids.end(), rng);
+  for (Edge& e : path) e = {ids[e.u], ids[e.v]};
+  std::shuffle(path.begin(), path.end(), rng);
+  out.emplace_back("path-shuffled", std::move(path));
+  out.emplace_back("gnm:n/8", random_pairs(n, n / 8, rng));
+  out.emplace_back("gnm:n/2", random_pairs(n, n / 2, rng));
+  out.emplace_back("gnm:2n", random_pairs(n, std::size_t{2} * n, rng));
+  out.emplace_back("gnm:8n", random_pairs(n, std::size_t{8} * n, rng));
+  return out;
 }
 
 /// "1,2,4,8" -> {1, 2, 4, 8}; always returns at least {1} and always
@@ -222,6 +288,30 @@ int main(int argc, char** argv) {
               dense_skip_reason + "\"";
     }
     json += "}";
+  }
+  json += "\n  ],\n  \"link_families\": [\n";
+  first = true;
+  for (const auto& [name, pairs] : link_families(seed)) {
+    const graph::CsrGraph csr = graph::CsrGraph::from_edges(kFamilyN, pairs);
+    const double link_ms =
+        best_solve_ms(core::sparse_cc_solver(), core::SolverInput(csr), 1,
+                      gca::SparseMode::kAuto, reps);
+    graph::UnionFind oracle(kFamilyN);
+    for (const graph::Edge& e : pairs) oracle.unite(e.u, e.v);
+    if (core::sparse_cc_solver().solve(csr, {}).labels !=
+        oracle.min_labels()) {
+      std::fprintf(stderr, "family %s: link labels differ from union-find\n",
+                   name.c_str());
+      return 1;
+    }
+    std::printf("family %-14s n=%7u pairs=%8zu  link %9.3f ms\n",
+                name.c_str(), kFamilyN, pairs.size(), link_ms);
+    if (!first) json += ",\n";
+    first = false;
+    json += "    {\"family\": \"" + name + "\", \"n\": " +
+            std::to_string(kFamilyN) + ", \"pairs\": " +
+            std::to_string(pairs.size()) +
+            ", \"link_ms\": " + std::to_string(link_ms) + "}";
   }
   json += "\n  ]\n}\n";
 

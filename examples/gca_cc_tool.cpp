@@ -16,7 +16,8 @@
 // --trace-out, --metrics-out) steer the solver backend and its
 // observability: --threads 1 sweeps on the calling thread, more on the
 // shared worker pool.  Invalid combinations (e.g. --record-access with
-// --threads 2) are rejected before the run with exit status 2.
+// --threads 2, or with --substrate sparse_csr) are rejected before the run
+// with exit status 2.
 // --substrate picks the gca algorithm's engine by name: dense (default) is
 // the paper-faithful cell field, sparse_csr the O(m)-work CSR
 // label-propagation engine the production Runner runs — labelings are
@@ -97,11 +98,6 @@ LabelingOutcome run_gca_sparse(const graph::Graph& g,
                                const cli::EngineFlags& exec,
                                const gca::EngineOptions& engine,
                                gca::Trace* trace) {
-  if (exec.record_access) {
-    std::fprintf(stderr,
-                 "warning: --record-access covers the dense field only; "
-                 "ignored on the sparse_csr substrate\n");
-  }
   core::RunnerOptions options;
   options.threads = engine.threads;
   options.sparse_mode = engine.sparse_mode;
@@ -238,6 +234,12 @@ int main(int argc, char** argv) {
                    "error: unknown substrate '%s' (expected dense | "
                    "sparse_csr)\n",
                    substrate.c_str());
+      return 2;
+    }
+    if (substrate == "sparse_csr" && exec.record_access) {
+      std::fprintf(stderr,
+                   "error: --record-access records the dense field's reads; "
+                   "the sparse_csr substrate has none\n");
       return 2;
     }
     gca::Trace trace;

@@ -1,12 +1,33 @@
 #include "common/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
+#include <type_traits>
 
 namespace gcalib {
 
 namespace {
+
+/// Reads all of `text` as one T literal into `value`; returns what is
+/// wrong with it, or null.
+template <typename T>
+const char* parse_whole(const std::string& text, T& value) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) return "is out of range";
+  if constexpr (std::is_integral_v<T>) {
+    if (ec != std::errc{} || stop != end) return "is not an integer";
+  } else {
+    if (ec != std::errc{} || stop != end || !std::isfinite(value)) {
+      return "is not a finite number";
+    }
+  }
+  return nullptr;
+}
 
 void print_options(std::FILE* out, const std::map<std::string, bool>& spec) {
   std::fprintf(out, "options:\n");
@@ -67,7 +88,9 @@ CliArgs CliArgs::parse_or_exit(int argc, const char* const* argv,
     }
   }
   try {
-    return parse(argc, argv, spec);
+    CliArgs args = parse(argc, argv, spec);
+    args.exit_on_bad_value_ = true;
+    return args;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     print_options(stderr, spec);
@@ -85,14 +108,35 @@ std::string CliArgs::get_string(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+void CliArgs::reject_value(const std::string& name,
+                           const std::string& problem) const {
+  const std::string message =
+      "--" + name + ": '" + values_.at(name) + "' " + problem;
+  if (exit_on_bad_value_) {
+    std::fprintf(stderr, "error: %s\n", message.c_str());
+    std::exit(2);
+  }
+  throw std::runtime_error(message);
+}
+
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stoll(it->second);
+  if (it == values_.end()) return fallback;
+  std::int64_t value = 0;
+  if (const char* problem = parse_whole(it->second, value)) {
+    reject_value(name, problem);
+  }
+  return value;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  if (it == values_.end()) return fallback;
+  double value = 0.0;
+  if (const char* problem = parse_whole(it->second, value)) {
+    reject_value(name, problem);
+  }
+  return value;
 }
 
 namespace cli {

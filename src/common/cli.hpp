@@ -30,6 +30,11 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
+  /// Numeric values are read strictly: the whole value must be one decimal
+  /// literal in range ("12abc", "abc", "" and "99999999999999999999" are
+  /// not; neither is a non-finite double).  On anything else, arguments
+  /// from `parse_or_exit` print one line naming the flag and the value and
+  /// exit with status 2; arguments from `parse` throw std::runtime_error.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
@@ -38,8 +43,12 @@ class CliArgs {
   }
 
  private:
+  [[noreturn]] void reject_value(const std::string& name,
+                                 const std::string& problem) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  bool exit_on_bad_value_ = false;  ///< built by parse_or_exit
 };
 
 namespace cli {

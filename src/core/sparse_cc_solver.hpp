@@ -10,7 +10,9 @@
 //    CsrGraph's stored pairs, another CsrGraph's arcs, a `Graph`'s lists.
 //    It builds no adjacency and runs on one lane.  Each successful link is
 //    the paper's "connect to the smallest neighbouring super node", made
-//    one edge at a time.
+//    one edge at a time; between blocks of edges, once enough splices
+//    have deepened the forest, a pointer-jump pass turns it back into
+//    stars, as the paper's jump step does.
 //
 //  * sync (kSync, and every round-loop feature below) — the
 //    double-buffered golden reference over the CSR adjacency.  Hook sweeps

@@ -49,10 +49,9 @@ std::int64_t LatencyModel::estimate_ns(std::uint32_t n, std::size_t m) const {
   } else if (samples_ > 0) {
     estimate = ns_per_weight_ * weight(n, m);
   } else {
-    // Cold queries run the parallel CAS-min path when the solver has
-    // lanes: assuming single-lane cost here over-sheds exactly the work
-    // the parallel path finishes in time.  Warm branches above are learned
-    // from observed (already-parallel) wall times.
+    // Cold: the calibration divided by the lane speedup of
+    // set_solver_threads (latency.hpp), optimistic for the one-lane link
+    // pass.  The warm branches above are learned from observed wall times.
     estimate = kColdNsPerWeight * weight(n, m) /
                effective_parallelism(solver_threads_);
   }

@@ -37,21 +37,21 @@ class LatencyModel {
   /// Total observations recorded (tests, stats op).
   [[nodiscard]] std::uint64_t samples() const;
 
-  /// Declares the solver-thread budget queries run with.  The parallel CSR
-  /// path (concurrent CAS-min labeling, DESIGN.md §14) divides solve time
-  /// by roughly `effective_parallelism(threads)`, so *cold* estimates —
-  /// when the model has never observed anything — are divided by that
-  /// factor instead of assuming single-lane cost; without this the
-  /// admission controller over-sheds exactly the queries the parallel path
-  /// would have finished in time.  Warm estimates (bucket EWMAs and the
-  /// ns-per-weight calibration) are learned from observed wall times and
-  /// are therefore already thread-consistent; they are not scaled.
+  /// Declares the solver-thread budget queries run with.  *Cold* estimates
+  /// — before the model has observed anything — are divided by
+  /// `effective_parallelism(threads)`.  The production engine has no such
+  /// per-query speedup: the link pass runs each query on one lane
+  /// (DESIGN.md §14), and the admission backlog already divides by the
+  /// worker count.  So a cold estimate is optimistic by up to that factor,
+  /// for the queries that arrive before the first sample only.  Warm
+  /// estimates (bucket EWMAs and the ns-per-weight calibration) are learned
+  /// from observed wall times and are not scaled.
   void set_solver_threads(unsigned threads);
 
-  /// The speedup model: 1 + (threads - 1) / 2 — half-efficient scaling,
-  /// the conservative end of the measured sparse speedups (over-estimating
-  /// cost sheds a little too eagerly; under-estimating admits work that
-  /// then misses its deadline).
+  /// The lane-speedup model: 1 + (threads - 1) / 2, half-efficient
+  /// scaling.  It was fitted to the multi-lane CAS-min engine the link pass
+  /// replaced, and stays as it is because perfbench's admission replay
+  /// calls it.
   [[nodiscard]] static double effective_parallelism(unsigned threads) {
     return threads <= 1 ? 1.0 : 1.0 + 0.5 * static_cast<double>(threads - 1);
   }

@@ -40,8 +40,8 @@ Server::Server(ServerOptions options)
         return config;
       }(), &model_) {
   GCALIB_EXPECTS_MSG(options_.threads >= 1, "gcad: threads must be >= 1");
-  // The admission estimator prices cold queries against the parallel
-  // CAS-min path this many lanes buy (gcad/latency.hpp).
+  // Cold admission estimates are divided by this width's lane speedup
+  // (gcad/latency.hpp); only queries before the first sample see it.
   model_.set_solver_threads(options_.threads);
   GCALIB_EXPECTS_MSG(options_.max_batch >= 1, "gcad: max_batch must be >= 1");
   GCALIB_EXPECTS_MSG(options_.fault_rate >= 0.0,

@@ -10,7 +10,7 @@
 // A graph built by `from_edges` keeps the checked pairs it was given and
 // builds offsets and arcs only when an adjacency accessor first asks for
 // them: the production link pass labels straight from the pairs
-// (`for_each_edge`) and never pays for adjacency it does not read.  The
+// (`input_pairs`) and never pays for adjacency it does not read.  The
 // build runs once, thread-safely, and copies of a graph share it.
 //
 // The structure is immutable after construction: solvers keep labels
@@ -76,23 +76,11 @@ class CsrGraph {
     return adjacency().arcs;
   }
 
-  /// Calls `fn(u, v)` once per edge without building adjacency when the
-  /// graph still has its input: a `from_edges` graph visits its pairs as
-  /// given (duplicates, self-loops and either orientation included), any
-  /// other graph visits each adjacency edge once with u < v.
-  template <typename Fn>
-  void for_each_edge(Fn&& fn) const {
-    if (keeps_pairs_) {
-      for (const Edge& e : pairs_) fn(e.u, e.v);
-      return;
-    }
-    const Adjacency& adj = adjacency();
-    for (NodeId u = 0; u < n_; ++u) {
-      const std::size_t end = adj.offsets[std::size_t{u} + 1];
-      for (std::size_t a = adj.offsets[u]; a < end; ++a) {
-        if (u < adj.arcs[a]) fn(u, adj.arcs[a]);
-      }
-    }
+  /// The pairs a `from_edges` graph was given, as given (duplicates,
+  /// self-loops and either orientation included), read without building
+  /// adjacency; null for a graph built any other way.
+  [[nodiscard]] const std::vector<Edge>* input_pairs() const {
+    return keeps_pairs_ ? &pairs_ : nullptr;
   }
 
   /// Edge density m / (n choose 2); 0 for n < 2.

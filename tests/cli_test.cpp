@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace gcalib {
@@ -41,6 +42,29 @@ TEST(Cli, DefaultsApplyWhenAbsent) {
 
 TEST(Cli, ParsesDouble) {
   EXPECT_DOUBLE_EQ(parse({"--p", "0.125"}).get_double("p", 0), 0.125);
+}
+
+TEST(Cli, NumericValuesMustBeWholeInRangeLiterals) {
+  for (const char* bad : {"abc", "12abc", "2x", "", " 3", "+3", "1e3", "0x10",
+                          "99999999999999999999"}) {
+    EXPECT_THROW((void)parse({"--n", bad}).get_int("n", 0), std::runtime_error)
+        << "'" << bad << "'";
+  }
+  for (const char* bad : {"x", "0.5x", "", " 1", "inf", "nan", "1e999"}) {
+    EXPECT_THROW((void)parse({"--p", bad}).get_double("p", 0),
+                 std::runtime_error)
+        << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse({"--n", "-5"}).get_int("n", 0), -5);
+  EXPECT_EQ(parse({"--n", "9223372036854775807"}).get_int("n", 0),
+            INT64_C(9223372036854775807));
+  EXPECT_DOUBLE_EQ(parse({"--p", "1e-3"}).get_double("p", 0), 1e-3);
+  try {
+    (void)parse({"--n", "12abc"}).get_int("n", 0);
+    ADD_FAILURE() << "12abc was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "--n: '12abc' is not an integer");  // flag + value
+  }
 }
 
 TEST(Cli, PositionalArguments) {

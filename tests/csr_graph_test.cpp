@@ -246,16 +246,14 @@ TEST(CsrGraph, EachLazyAccessorMatchesTheEagerBuild) {
   EXPECT_EQ(want, fresh());
 }
 
-TEST(CsrGraph, ForEachEdgeVisitsStoredPairsOrAdjacencyEdges) {
+TEST(CsrGraph, KeepsInputPairsAsGivenOnlyFromEdges) {
   const std::vector<Edge> edges = {{2, 1}, {1, 2}, {0, 0}, {3, 0}};
-  std::vector<Edge> seen;
-  const auto record = [&seen](NodeId u, NodeId v) { seen.push_back({u, v}); };
-  CsrGraph::from_edges(4, edges).for_each_edge(record);
-  EXPECT_EQ(seen, edges);  // as given: order, orientation, loop, duplicate
-  seen.clear();
-  CsrGraph::from_graph(Graph::from_edges(4, {{2, 1}, {3, 0}}))
-      .for_each_edge(record);
-  EXPECT_EQ(seen, (std::vector<Edge>{{0, 3}, {1, 2}}));
+  const CsrGraph kept = CsrGraph::from_edges(4, edges);
+  ASSERT_NE(kept.input_pairs(), nullptr);
+  EXPECT_EQ(*kept.input_pairs(), edges);  // order, orientation, loop, duplicate
+  EXPECT_EQ(CsrGraph::from_graph(Graph::from_edges(4, {{2, 1}, {3, 0}}))
+                .input_pairs(),
+            nullptr);
 }
 
 TEST(CsrGraph, CopiesAndMovesWorkBeforeAndAfterTheBuild) {

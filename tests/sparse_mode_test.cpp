@@ -9,11 +9,17 @@
 // path (maximum hook/jump round count), two cliques joined by one bridge
 // (a single inter-lane arc decides the final labels), and random G(n, m)
 // as the unstructured control, all checked against the union-find oracle.
+// The link pass's mid-pass jumps are checked on inputs that splice enough
+// to trigger them and on inputs that never do, through every input shape
+// the pass reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/cc_solver.hpp"
 #include "core/hirschberg_gca.hpp"
 #include "gca/trace.hpp"
@@ -21,6 +27,7 @@
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/labeling.hpp"
 #include "graph/union_find.hpp"
 
 namespace gcalib::core {
@@ -181,6 +188,118 @@ TEST(SparseModeEquivalence, AutoLinksAndSyncHooksAtEveryWidth) {
     EXPECT_EQ(sync.sweeps[0].label.rfind("hook#", 0), 0u);
     EXPECT_EQ(sync.sweeps[1].label.rfind("jump#", 0), 0u);
     EXPECT_EQ(sync.labels, oracle);
+  }
+}
+
+/// `m` uniform endpoint pairs without self-loops, duplicates kept.
+std::vector<graph::Edge> random_pairs(graph::NodeId n, std::size_t m,
+                                      std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<graph::Edge> pairs;
+  while (pairs.size() < m) {
+    const auto u = static_cast<graph::NodeId>(rng.below(n));
+    const auto v = static_cast<graph::NodeId>(rng.below(n));
+    if (u != v) pairs.push_back({u, v});
+  }
+  return pairs;
+}
+
+/// Runs the link pass on `pairs` through each input shape it reads — a
+/// `from_edges` CsrGraph's pairs (in the given order), a `from_graph`
+/// CsrGraph's arcs and a `Graph`'s lists (both in row order) — checks the
+/// labels against union-find and the link step's counters, and returns the
+/// jumps each shape ran (cells_swept = n x (mid-pass jumps + 1)).
+std::vector<std::size_t> link_jumps(graph::NodeId n,
+                                    const std::vector<graph::Edge>& pairs,
+                                    const std::string& name) {
+  std::vector<graph::Edge> simple;
+  for (const graph::Edge& e : pairs) {
+    if (e.u != e.v) simple.push_back(e);
+  }
+  const graph::Graph g = graph::Graph::from_edges(n, simple);
+  const std::vector<graph::NodeId> oracle = graph::union_find_components(g);
+  const graph::CsrGraph kept = graph::CsrGraph::from_edges(n, pairs);
+  const graph::CsrGraph arcs = graph::CsrGraph::from_graph(g);
+  const struct {
+    const char* shape;
+    SolverInput input;
+    std::size_t reads;
+  } shapes[] = {
+      {"pairs", SolverInput(kept), pairs.size()},
+      {"arcs", SolverInput(arcs), g.edge_count()},
+      {"lists", SolverInput(g), g.edge_count()},
+  };
+  std::vector<std::size_t> jumps;
+  for (const auto& shape : shapes) {
+    const std::string context = name + " / " + shape.shape;
+    RunOptions options;
+    options.instrument = true;
+    const QueryResult result = sparse_cc_solver().solve(shape.input, options);
+    EXPECT_EQ(result.labels, oracle) << context;
+    EXPECT_EQ(result.components, graph::component_count(oracle)) << context;
+    if (result.sweeps.size() != 1) {
+      ADD_FAILURE() << context << ": " << result.sweeps.size() << " steps";
+      jumps.push_back(0);
+      continue;
+    }
+    const gca::GenerationStats& link = result.sweeps[0];
+    EXPECT_EQ(link.label, "link") << context;
+    EXPECT_EQ(link.active_cells, n - result.components) << context;
+    EXPECT_EQ(link.total_reads, shape.reads) << context;
+    EXPECT_EQ(link.cell_count, n) << context;
+    EXPECT_EQ(link.cells_swept % n, 0u) << context;
+    EXPECT_GE(link.cells_swept, n) << context;
+    jumps.push_back(link.cells_swept / n - 1);
+  }
+  return jumps;
+}
+
+/// Inputs whose Rem splices reach the jump budget: the pass pointer-jumps
+/// mid-pass (cells_swept > n) on every input shape and still labels
+/// exactly like union-find.
+TEST(SparseModeEquivalence, LinkPassJumpsMidPassOnSplicingInputs) {
+  const graph::NodeId n = 1u << 14;
+  Xoshiro256 rng(5);
+  std::vector<graph::NodeId> ids(n);
+  std::iota(ids.begin(), ids.end(), graph::NodeId{0});
+  std::shuffle(ids.begin(), ids.end(), rng);
+  std::vector<graph::Edge> path;  // randomly numbered, in shuffled order
+  for (graph::NodeId v = 0; v + 1 < n; ++v) path.push_back({ids[v], ids[v + 1]});
+  std::shuffle(path.begin(), path.end(), rng);
+  std::vector<graph::Edge> descending = random_pairs(n, 1u << 16, 9);
+  std::sort(descending.begin(), descending.end(),
+            [](const graph::Edge& a, const graph::Edge& b) { return b < a; });
+  const struct {
+    const char* name;
+    std::vector<graph::Edge> pairs;
+  } inputs[] = {
+      {"gnm(2^14, 2^16)", random_pairs(n, 1u << 16, 3)},
+      {"shuffled random path", path},
+      {"descending gnm", descending},
+  };
+  for (const auto& input : inputs) {
+    for (const std::size_t jumps : link_jumps(n, input.pairs, input.name)) {
+      EXPECT_GT(jumps, 0u) << input.name;
+    }
+  }
+}
+
+/// Paths, stars and cliques never splice, so the pass never jumps early:
+/// one jump after the last edge (cells_swept == n) on every input shape.
+TEST(SparseModeEquivalence, LinkPassNeverJumpsEarlyOnPathStarAndCliques) {
+  const struct {
+    const char* name;
+    graph::Graph g;
+  } families[] = {
+      {"path", graph::path(1u << 14)},
+      {"star", graph::star(1u << 14)},
+      {"two-cliques-bridge", two_cliques_bridge(128)},
+  };
+  for (const auto& family : families) {
+    for (const std::size_t jumps :
+         link_jumps(family.g.node_count(), family.g.edges(), family.name)) {
+      EXPECT_EQ(jumps, 0u) << family.name;
+    }
   }
 }
 
