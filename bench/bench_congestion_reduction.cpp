@@ -4,7 +4,6 @@
 //
 // Usage: bench_congestion_reduction [--sweep "4,8,16,32,64"] [--family complete]
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,19 +15,7 @@
 #include "graph/generators.hpp"
 #include "hw/replication.hpp"
 
-namespace {
-
-std::vector<std::size_t> parse_sweep(const std::string& spec) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) out.push_back(std::stoul(token));
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gcalib;
   const CliArgs args = CliArgs::parse_or_exit(
       argc, argv, {{"sweep", true}, {"family", true}, {"seed", true}});
@@ -42,7 +29,7 @@ int main(int argc, char** argv) {
   TextTable table({"n", "generations", "strategy", "cycles", "overhead",
                    "extra ext. cells", "extra LEs"});
   table.set_align(2, Align::kLeft);
-  for (std::size_t n : parse_sweep(args.get_string("sweep", "4,8,16,32,64"))) {
+  for (std::size_t n : args.get_count_list("sweep", {4, 8, 16, 32, 64})) {
     const graph::Graph g =
         graph::make_named(family, static_cast<graph::NodeId>(n), seed);
     core::HirschbergGca machine(g);
@@ -73,7 +60,7 @@ int main(int argc, char** argv) {
   TextTable tree_table({"n", "baseline gens", "tree gens", "ratio",
                         "static max d (base)", "static max d (tree)",
                         "dynamic max d"});
-  for (std::size_t n : parse_sweep(args.get_string("sweep", "4,8,16,32,64"))) {
+  for (std::size_t n : args.get_count_list("sweep", {4, 8, 16, 32, 64})) {
     const graph::Graph g =
         graph::make_named(family, static_cast<graph::NodeId>(n), seed);
 
@@ -104,4 +91,7 @@ int main(int argc, char** argv) {
       "\nreading: the tree machine pays ~2-3x more generations but every\n"
       "static generation completes in one cycle on single-ported cells.\n");
   return 0;
+} catch (const gcalib::graph::BadGraphSpec& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -6,7 +6,6 @@
 //
 // Usage: bench_design_space [--sweep "4,8,16,32,64"] [--family gnp:0.3]
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,19 +18,7 @@
 #include "graph/generators.hpp"
 #include "graph/union_find.hpp"
 
-namespace {
-
-std::vector<std::size_t> parse_sweep(const std::string& spec) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) out.push_back(std::stoul(token));
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gcalib;
   const CliArgs args = CliArgs::parse_or_exit(
       argc, argv, {{"sweep", true}, {"family", true}, {"seed", true}});
@@ -44,7 +31,7 @@ int main(int argc, char** argv) {
   TextTable table({"n", "machine", "cells", "generations", "max congestion",
                    "labels ok"});
   table.set_align(1, Align::kLeft);
-  for (std::size_t n : parse_sweep(args.get_string("sweep", "4,8,16,32,64"))) {
+  for (std::size_t n : args.get_count_list("sweep", {4, 8, 16, 32, 64})) {
     const graph::Graph g =
         graph::make_named(family, static_cast<graph::NodeId>(n), seed);
     const std::vector<graph::NodeId> oracle = graph::union_find_components(g);
@@ -83,4 +70,7 @@ int main(int argc, char** argv) {
       "factor ~n/log(n) in generations at full congestion — with cheap GCA\n"
       "cells and unavoidable O(n^2) state, the paper picks n^2 cells.\n");
   return 0;
+} catch (const gcalib::graph::BadGraphSpec& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -10,7 +10,6 @@
 // Usage: bench_hw_synthesis [--sweep "4,8,16,32,64,128"] [--verilog out.v --n 16]
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,18 +18,6 @@
 #include "common/table.hpp"
 #include "hw/cost_model.hpp"
 #include "hw/verilog_gen.hpp"
-
-namespace {
-
-std::vector<std::size_t> parse_sweep(const std::string& spec) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) out.push_back(std::stoul(token));
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace gcalib;
@@ -58,7 +45,8 @@ int main(int argc, char** argv) {
 
   TextTable sweep({"n", "cells", "logic elements", "register bits", "fmax",
                    "Mgenerations/s"});
-  for (std::size_t n : parse_sweep(args.get_string("sweep", "4,8,16,32,64,128,256"))) {
+  for (std::size_t n :
+       args.get_count_list("sweep", {4, 8, 16, 32, 64, 128, 256})) {
     const hw::SynthesisEstimate est = hw::estimate_for(n);
     sweep.add_row({std::to_string(n), with_commas(est.cells),
                    with_commas(est.logic_elements), with_commas(est.register_bits),

@@ -12,7 +12,7 @@
 #include "graph/generators.hpp"
 #include "hw/multiproc.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gcalib;
   const CliArgs args = CliArgs::parse_or_exit(
       argc, argv, {{"n", true}, {"family", true}, {"seed", true}});
@@ -64,4 +64,7 @@ int main(int argc, char** argv) {
       "scaling — the communication structure of the GCA maps naturally\n"
       "onto the architecture of reference [4].\n");
   return 0;
+} catch (const gcalib::graph::BadGraphSpec& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

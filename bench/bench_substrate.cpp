@@ -149,29 +149,6 @@ std::vector<std::pair<std::string, std::vector<graph::Edge>>> link_families(
   return out;
 }
 
-/// "1,2,4,8" -> {1, 2, 4, 8}; always returns at least {1} and always
-/// includes 1 (the sequential baseline every speedup column divides by).
-std::vector<unsigned> parse_thread_list(const std::string& spec) {
-  std::vector<unsigned> threads;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!item.empty()) {
-      const long value = std::stol(item);
-      if (value >= 1) threads.push_back(static_cast<unsigned>(value));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (threads.empty()) threads.push_back(1);
-  bool has_one = false;
-  for (const unsigned t : threads) has_one = has_one || t == 1;
-  if (!has_one) threads.insert(threads.begin(), 1);
-  return threads;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -183,8 +160,15 @@ int main(int argc, char** argv) {
                                                {"out", true}});
   const auto max_edges =
       static_cast<std::size_t>(args.get_int("max-edges", 1'000'000));
-  const std::vector<unsigned> thread_sweep =
-      parse_thread_list(args.get_string("threads", "1,2,4,8"));
+  // One lane always runs: it is the baseline every speedup column divides by.
+  std::vector<unsigned> thread_sweep;
+  for (const std::size_t t : args.get_count_list("threads", {1, 2, 4, 8})) {
+    thread_sweep.push_back(static_cast<unsigned>(t));
+  }
+  if (std::find(thread_sweep.begin(), thread_sweep.end(), 1u) ==
+      thread_sweep.end()) {
+    thread_sweep.insert(thread_sweep.begin(), 1);
+  }
   const int reps = static_cast<int>(args.get_int("reps", 3));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const std::string out_path = args.get_string("out", "BENCH_substrate.json");

@@ -71,7 +71,7 @@ std::string paper_row(Generation g, std::size_t n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const gcalib::CliArgs args = gcalib::CliArgs::parse_or_exit(
       argc, argv, {{"n", true}, {"family", true}, {"seed", true}});
   const auto n = static_cast<gcalib::graph::NodeId>(args.get_int("n", 16));
@@ -121,4 +121,7 @@ int main(int argc, char** argv) {
   std::printf("\ntotal generations executed: %zu (formula: %zu)\n",
               result.generations, gcalib::core::total_generations(n));
   return 0;
+} catch (const gcalib::graph::BadGraphSpec& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -6,7 +6,6 @@
 // Usage: bench_table2_generations [--n 16] [--sweep "4,8,16,32,64,128"]
 #include <cstdio>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,14 +20,6 @@ namespace {
 
 using gcalib::core::Generation;
 using gcalib::core::StepRecord;
-
-std::vector<std::size_t> parse_sweep(const std::string& spec) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) out.push_back(std::stoul(token));
-  return out;
-}
 
 }  // namespace
 
@@ -70,7 +61,8 @@ int main(int argc, char** argv) {
   // --- Total-generation sweep -------------------------------------------
   std::printf("\nTotal generations: 1 + log(n) * (3 log(n) + 8)\n\n");
   gcalib::TextTable sweep({"n", "log2(n)", "formula", "measured", "iterations"});
-  for (std::size_t size : parse_sweep(args.get_string("sweep", "4,8,16,32,64,128"))) {
+  for (std::size_t size :
+       args.get_count_list("sweep", {4, 8, 16, 32, 64, 128})) {
     const gcalib::graph::Graph gs =
         gcalib::graph::complete(static_cast<gcalib::graph::NodeId>(size));
     gcalib::core::RunOptions options;

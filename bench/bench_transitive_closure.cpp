@@ -7,7 +7,6 @@
 // Usage: bench_transitive_closure [--sweep "4,8,16,32"] [--p 0.15]
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,14 +17,6 @@
 #include "core/transitive_closure.hpp"
 
 namespace {
-
-std::vector<std::size_t> parse_sweep(const std::string& spec) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) out.push_back(std::stoul(token));
-  return out;
-}
 
 gcalib::core::BoolMatrix random_digraph(std::size_t n, double p,
                                         std::uint64_t seed) {
@@ -59,7 +50,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"n", "generations", "formula", "max congestion",
                    "gca sim [ms]", "warshall [ms]", "agree"});
-  for (std::size_t n : parse_sweep(args.get_string("sweep", "4,8,16,32,64"))) {
+  for (std::size_t n : args.get_count_list("sweep", {4, 8, 16, 32, 64})) {
     const core::BoolMatrix a = random_digraph(n, p, seed);
 
     const auto t0 = std::chrono::steady_clock::now();

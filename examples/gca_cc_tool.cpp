@@ -292,6 +292,9 @@ int main(int argc, char** argv) {
   } catch (const gca::DeadlineExceeded& e) {
     std::fprintf(stderr, "deadline exceeded: %s\n", e.what());
     return 3;
+  } catch (const graph::BadGraphSpec& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -60,18 +60,19 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < image.pixels.size(); ++i) {
     if (image.pixels[i]) node_of[i] = nodes++;
   }
-  graph::Graph g(nodes);
+  std::vector<graph::Edge> edges;
   for (std::size_t y = 0; y < height; ++y) {
     for (std::size_t x = 0; x < width; ++x) {
       if (!image.at(x, y)) continue;
       if (x + 1 < width && image.at(x + 1, y)) {
-        g.add_edge(node_of[y * width + x], node_of[y * width + x + 1]);
+        edges.push_back({node_of[y * width + x], node_of[y * width + x + 1]});
       }
       if (y + 1 < height && image.at(x, y + 1)) {
-        g.add_edge(node_of[y * width + x], node_of[(y + 1) * width + x]);
+        edges.push_back({node_of[y * width + x], node_of[(y + 1) * width + x]});
       }
     }
   }
+  const graph::Graph g = graph::Graph::from_edges(nodes, edges);
 
   // Label on the GCA and sanity-check against union-find.
   const std::vector<graph::NodeId> labels = core::gca_components(g);

@@ -21,10 +21,9 @@ int main() {
 
   // A small graph: two squares and an isolated pair.
   //   0-1-2-3-0   4-5-6-7-4   8-9
-  graph::Graph g(10);
-  for (graph::NodeId i = 0; i < 4; ++i) g.add_edge(i, (i + 1) % 4);
-  for (graph::NodeId i = 0; i < 4; ++i) g.add_edge(4 + i, 4 + (i + 1) % 4);
-  g.add_edge(8, 9);
+  const graph::Graph g = graph::Graph::from_edges(
+      10, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 6}, {6, 7}, {7, 4},
+           {8, 9}});
 
   // ---- level 1: one call --------------------------------------------
   const std::vector<graph::NodeId> labels = core::gca_components(g);

@@ -3,8 +3,10 @@
 // against Floyd–Warshall, with a CSV export for downstream tooling.
 //
 //   $ ./route_planner [--towns 24 --extra-roads 12 --seed 4] [--csv out.csv]
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,14 +31,16 @@ int main(int argc, char** argv) {
 
   // Road network: a random spanning tree (every town reachable) plus some
   // extra shortcut roads; travel times 5..60 minutes.
-  graph::Graph roads = graph::random_tree(towns, seed);
+  std::vector<graph::Edge> road_list = graph::random_tree(towns, seed).edges();
+  std::set<graph::Edge> built(road_list.begin(), road_list.end());
   Xoshiro256 rng(seed * 31 + 7);
-  std::size_t added = 0;
-  while (added < extra) {
+  while (built.size() < road_list.size() + extra) {
     const auto u = static_cast<graph::NodeId>(rng.below(towns));
     const auto v = static_cast<graph::NodeId>(rng.below(towns));
-    if (u != v && roads.add_edge(u, v)) ++added;
+    if (u != v) built.insert({std::min(u, v), std::max(u, v)});
   }
+  const graph::Graph roads = graph::Graph::from_edges(
+      towns, std::vector<graph::Edge>(built.begin(), built.end()));
   core::DistMatrix times(towns);
   for (const graph::Edge& e : roads.edges()) {
     const auto minutes = static_cast<core::Dist>(5 + rng.below(56));

@@ -60,12 +60,14 @@ fi
 # TSan fast-fail over the shared state of the sparse engine: the parallel
 # sync sweeps (DESIGN.md §14), the resilience surface (DESIGN.md §15) that
 # threads fault hooks, monitors and GSKP checkpoint writes through them,
-# and CsrGraph's once-only adjacency build that concurrent readers race to
-# start — so an address-sanitizer run still gives them one
-# ThreadSanitizer pass from a dedicated build-thread tree.  Only those test
-# binaries are built there — the full suite under TSan is the explicit
-# `scripts/check.sh thread` run, and when that is already this run the
-# extra pass would be redundant.
+# CsrGraph's once-only adjacency build that concurrent readers race to
+# start, and gcad's intake -> worker hand-off, where each query's flat
+# graph (two arrays) is built on the intake thread and freed on a worker —
+# so an address-sanitizer run still gives them one ThreadSanitizer pass
+# from a dedicated build-thread tree.  Only those test binaries are built
+# there — the full suite under TSan is the explicit `scripts/check.sh
+# thread` run, and when that is already this run the extra pass would be
+# redundant.
 if [ "${SKIP_TSAN_SMOKE:-0}" != "1" ] && [ "$SANITIZER" != "thread" ] \
    && [ "$#" -eq 0 ]; then
   TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-thread}"
@@ -74,10 +76,10 @@ if [ "${SKIP_TSAN_SMOKE:-0}" != "1" ] && [ "$SANITIZER" != "thread" ] \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$TSAN_BUILD_DIR" -j"$JOBS" \
     --target sparse_mode_test sparse_fault_test certificate_test \
-             gskp_checkpoint_test csr_graph_test
+             gskp_checkpoint_test csr_graph_test graph_test gcad_server_test
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j"$JOBS" \
-    -R '^([A-Za-z]+/)?(SparseMode|SparseFault|Certificate|Gskp|CsrGraph)[A-Za-z]*\.'
-  echo "tsan smoke: OK (sparse sweeps, resilience and lazy CSR are race-clean)"
+    -R '^([A-Za-z]+/)?(SparseMode|SparseFault|Certificate|Gskp|CsrGraph|Graph|GcadServer)[A-Za-z]*\.'
+  echo "tsan smoke: OK (sparse sweeps, resilience, lazy CSR and gcad's graph hand-off are race-clean)"
 fi
 
 # Release leg: the whole tree — tests included — in the Release build

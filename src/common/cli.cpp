@@ -108,10 +108,9 @@ std::string CliArgs::get_string(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
-void CliArgs::reject_value(const std::string& name,
+void CliArgs::reject_value(const std::string& name, const std::string& text,
                            const std::string& problem) const {
-  const std::string message =
-      "--" + name + ": '" + values_.at(name) + "' " + problem;
+  const std::string message = "--" + name + ": '" + text + "' " + problem;
   if (exit_on_bad_value_) {
     std::fprintf(stderr, "error: %s\n", message.c_str());
     std::exit(2);
@@ -124,7 +123,7 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) co
   if (it == values_.end()) return fallback;
   std::int64_t value = 0;
   if (const char* problem = parse_whole(it->second, value)) {
-    reject_value(name, problem);
+    reject_value(name, it->second, problem);
   }
   return value;
 }
@@ -134,9 +133,29 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   if (it == values_.end()) return fallback;
   double value = 0.0;
   if (const char* problem = parse_whole(it->second, value)) {
-    reject_value(name, problem);
+    reject_value(name, it->second, problem);
   }
   return value;
+}
+
+std::vector<std::size_t> CliArgs::get_count_list(
+    const std::string& name, std::vector<std::size_t> fallback) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  std::vector<std::size_t> values;
+  const std::string& text = it->second;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = text.find(',', start);
+    const std::string item = text.substr(start, comma - start);
+    std::int64_t value = 0;
+    const char* problem = parse_whole(item, value);
+    if (problem == nullptr && value < 1) problem = "is not a positive integer";
+    if (problem != nullptr) reject_value(name, item, problem);
+    values.push_back(static_cast<std::size_t>(value));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return values;
 }
 
 namespace cli {

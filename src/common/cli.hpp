@@ -38,12 +38,18 @@ class CliArgs {
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+  /// A comma-separated list of positive integers ("4,8,16": sweep sizes,
+  /// thread counts), each item read as strictly as `get_int` and rejected
+  /// the same way, with one line naming the flag and the item.
+  [[nodiscard]] std::vector<std::size_t> get_count_list(
+      const std::string& name, std::vector<std::size_t> fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }
 
  private:
   [[noreturn]] void reject_value(const std::string& name,
+                                 const std::string& text,
                                  const std::string& problem) const;
 
   std::map<std::string, std::string> values_;

@@ -492,13 +492,15 @@ const gca::Worklist& HirschbergGca::column_worklist() {
 /// Reconstructs the input graph from the adjacency bits stored in the cell
 /// field (used by the self-check so no external graph reference is needed).
 graph::Graph HirschbergGca::graph_from_field() const {
-  graph::Graph g(n_);
+  std::vector<graph::Edge> edges;
   for (NodeId j = 0; j < n_; ++j) {
     for (NodeId i = j + 1; i < n_; ++i) {
-      if (engine_->state(geometry_.index_of(j, i)).a == 1) g.add_edge(j, i);
+      if (engine_->state(geometry_.index_of(j, i)).a == 1) {
+        edges.push_back(graph::Edge{j, i});
+      }
     }
   }
-  return g;
+  return graph::Graph::from_edges(n_, edges);
 }
 
 CheckpointData HirschbergGca::checkpoint_data(unsigned next_iteration) const {

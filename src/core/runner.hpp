@@ -15,7 +15,7 @@
 //
 // Results always come back in input order.  Every query runs on the CSR
 // engine (`sparse_cc_solver()`, DESIGN.md §12) on the representation it
-// arrived in — the link pass reads a `graph::Graph`'s lists and a
+// arrived in — the link pass reads a `graph::Graph`'s rows and a
 // `CsrGraph`'s stored pairs directly — and its labeling is the canonical
 // min-id labeling, bit-identical to n independent `gca_components` calls
 // on the paper's field.  The field itself is never run here; callers that
@@ -129,8 +129,8 @@ class Runner {
   /// budget, gca::Cancelled for a tripped token, ContractViolation for
   /// everything else).  The diagnosis text is never silently discarded.
   [[nodiscard]] QueryResult solve(const graph::Graph& g) const;
-  /// CSR-native overload: a million-edge graph never has to build per-node
-  /// lists to be labelled.
+  /// CSR-native overload: a million-edge graph never has to build its
+  /// adjacency to be labelled.
   [[nodiscard]] QueryResult solve(const graph::CsrGraph& g) const;
 
   /// Labels one graph with full fault isolation: never throws, applies

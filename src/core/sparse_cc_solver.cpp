@@ -200,61 +200,56 @@ unsigned round_guard(NodeId n, unsigned slack) {
 
 /// Calls `fn(u, v)` once per edge of the query on the representation it
 /// arrived in, building no other: a `from_edges` CsrGraph's pairs as given,
-/// another CsrGraph's arcs or a `Graph`'s lists with u < v.  Calls
-/// `block()` after every kStopPollStride reads (a pair, an arc, or a row
-/// itself, so isolated vertices count too), splitting rows where needed;
-/// the link pass checks its budgets there instead of once per edge.
+/// or the rows of a `Graph` or another CsrGraph (one layout) with u < v.
+/// Calls `block()` after every kStopPollStride reads (a pair, an arc, or a
+/// row itself, so isolated vertices count too), splitting rows where
+/// needed; the link pass checks its budgets there instead of once per edge.
 /// Returns the number of `fn` calls.
 template <typename Fn, typename Block>
 std::size_t for_each_edge_block(const SolverInput& input, Fn&& fn,
                                 Block&& block) {
-  const NodeId n = input.node_count();
-  const auto rows = [&](const auto& row) {
-    std::size_t budget = kStopPollStride;  // reads left in this block
-    for (NodeId u = 0; u < n; ++u) {
-      std::span<const NodeId> r = row(u);
-      while (r.size() >= budget) {  // the block ends inside this row
-        for (const NodeId v : r.first(budget)) {
-          if (u < v) fn(u, v);
+  const graph::Graph* rows_of = input.has_csr() ? nullptr : &input.dense();
+  if (rows_of == nullptr) {
+    if (const std::vector<graph::Edge>* pairs = input.csr().input_pairs()) {
+      const graph::Edge* e = pairs->data();
+      const graph::Edge* const end = e + pairs->size();
+      while (static_cast<std::size_t>(end - e) >= kStopPollStride) {
+        for (const graph::Edge* const block_end = e + kStopPollStride;
+             e != block_end; ++e) {
+          fn(e->u, e->v);
         }
-        r = r.subspan(budget);
         block();
-        budget = kStopPollStride;
       }
-      for (const NodeId v : r) {
+      for (; e != end; ++e) fn(e->u, e->v);
+      return pairs->size();
+    }
+  }
+  // One walk for both row shapes, indexing the arc array directly: asking
+  // a lazy CsrGraph for each row would check its once-only adjacency build
+  // per vertex.
+  const std::size_t* const offsets = rows_of != nullptr
+                                         ? rows_of->offsets().data()
+                                         : input.csr().offsets().data();
+  const NodeId* const arcs = rows_of != nullptr ? rows_of->arcs().data()
+                                                : input.csr().arcs().data();
+  const NodeId n = input.node_count();
+  std::size_t budget = kStopPollStride;  // reads left in this block
+  for (NodeId u = 0; u < n; ++u) {
+    std::span<const NodeId> r(arcs + offsets[u], offsets[u + 1] - offsets[u]);
+    while (r.size() >= budget) {  // the block ends inside this row
+      for (const NodeId v : r.first(budget)) {
         if (u < v) fn(u, v);
       }
-      budget -= r.size() + 1;  // r.size() < budget: stays >= 0
-    }
-  };
-  if (!input.has_csr()) {
-    const graph::Graph& g = input.dense();
-    rows([&g](NodeId u) { return std::span<const NodeId>(g.neighbors(u)); });
-    return g.edge_count();
-  }
-  const graph::CsrGraph& csr = input.csr();
-  if (const std::vector<graph::Edge>* pairs = csr.input_pairs()) {
-    const graph::Edge* e = pairs->data();
-    const graph::Edge* const end = e + pairs->size();
-    while (static_cast<std::size_t>(end - e) >= kStopPollStride) {
-      for (const graph::Edge* const block_end = e + kStopPollStride;
-           e != block_end; ++e) {
-        fn(e->u, e->v);
-      }
+      r = r.subspan(budget);
       block();
+      budget = kStopPollStride;
     }
-    for (; e != end; ++e) fn(e->u, e->v);
-    return pairs->size();
+    for (const NodeId v : r) {
+      if (u < v) fn(u, v);
+    }
+    budget -= r.size() + 1;  // r.size() < budget: stays >= 0
   }
-  // Index the arc array directly: asking the graph for each row would
-  // check its once-only adjacency build per vertex.
-  const std::vector<std::size_t>& offsets = csr.offsets();
-  const std::vector<NodeId>& arcs = csr.arcs();
-  rows([&offsets, &arcs](NodeId u) {
-    return std::span<const NodeId>(arcs.data() + offsets[u],
-                                   offsets[u + 1] - offsets[u]);
-  });
-  return arcs.size() / 2;  // every edge has one arc with u < v
+  return offsets[n] / 2;  // every edge has one arc with u < v
 }
 
 void self_check_labels(const SolverInput& input, const QueryResult& result) {

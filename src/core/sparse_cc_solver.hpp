@@ -7,7 +7,7 @@
 //
 //  * link (kAuto, the default) — one pass of link-by-min union-find with
 //    Rem's splicing over the edges the caller holds: a `from_edges`
-//    CsrGraph's stored pairs, another CsrGraph's arcs, a `Graph`'s lists.
+//    CsrGraph's stored pairs, the arcs of a `Graph` or another CsrGraph.
 //    It builds no adjacency and runs on one lane.  Each successful link is
 //    the paper's "connect to the smallest neighbouring super node", made
 //    one edge at a time; between blocks of edges, once enough splices

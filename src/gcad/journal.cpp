@@ -184,7 +184,7 @@ Status parse_journal(const std::string& bytes,
                        " exceeds the maximum for n = " + std::to_string(n) +
                        at);
     }
-    graph::Graph g(n);
+    std::vector<graph::Edge> pairs;
     for (std::uint32_t e = 0; e < edge_count; ++e) {
       std::uint32_t u = 0;
       std::uint32_t v = 0;
@@ -195,9 +195,9 @@ Status parse_journal(const std::string& bytes,
         return data_loss("edge endpoint outside the graph" + at);
       }
       if (u == v) return data_loss("self-loop" + at);
-      g.add_edge(u, v);
+      pairs.push_back(graph::Edge{u, v});
     }
-    entry.graph = std::move(g);
+    entry.graph = graph::Graph::from_edges(n, pairs);
     entries.push_back(std::move(entry));
   }
   if (reader.pos() != bytes.size() - kCrcBytes) {

@@ -29,13 +29,6 @@ struct TypedEdges {
   std::size_t member = kNone;
 };
 
-/// One number literal, in both views (see Json).
-struct NumberToken {
-  double number = 0.0;
-  std::int64_t integer = 0;
-  bool is_integer = false;
-};
-
 class JsonParser {
  public:
   /// With `edges` set, the top-level object's "edges" members are read
@@ -219,64 +212,64 @@ class JsonParser {
     return fail("bad literal");
   }
 
-  /// Reads an `[[u, v], ...]` array of u32 pairs into `edges_` with the
-  /// same whitespace and number primitives as `value`.  On any other shape
-  /// it rewinds and returns false, and the caller parses the value as a DOM
-  /// node: errors and unusual-but-valid inputs take the DOM's exact route,
-  /// so the accepted language and every diagnosis stay the DOM's.
+  /// Reads an `[[u, v], ...]` array of u32 pairs into `edges_` in one
+  /// pointer scan: JSON whitespace inline, each endpoint 1 to 10 decimal
+  /// digits worth at most 2^32 - 1.  On any other shape (a sign, an 11th
+  /// digit, a fraction, a missing bracket, the end of the line) it rewinds
+  /// and returns false, and the caller parses the value as a DOM node:
+  /// errors and unusual-but-valid inputs take the DOM's exact route, so the
+  /// accepted language and every diagnosis stay the DOM's.
   bool edge_pairs() {
-    const std::size_t start = pos_;
     std::vector<graph::Edge>& out = edges_->pairs;
     out.clear();
+    const char* p = text_.data() + pos_;
+    const char* const end = text_.data() + text_.size();
+    const auto skip_blanks = [&p, end] {
+      while (p != end &&
+             (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
+        ++p;
+      }
+    };
+    const auto eat = [&](char expected) {
+      skip_blanks();
+      if (p == end || *p != expected) return false;
+      ++p;
+      return true;
+    };
+    // An 11th digit or a fraction stops the digits and fails the next eat.
+    const auto endpoint = [&](graph::NodeId& value) {
+      skip_blanks();
+      const char* const first = p;
+      std::uint64_t v = 0;
+      while (p != end && p - first < 10 && *p >= '0' && *p <= '9') {
+        v = v * 10 + static_cast<std::uint64_t>(*p++ - '0');
+      }
+      value = static_cast<graph::NodeId>(v);
+      return p != first && v <= std::numeric_limits<graph::NodeId>::max();
+    };
     const auto bail = [&] {
-      pos_ = start;
       out.clear();
       edges_->member = TypedEdges::kNone;
       return false;
     };
-    skip_ws();
     if (!eat('[')) return bail();
-    skip_ws();
-    if (eat(']')) return true;
-    for (;;) {
-      skip_ws();
-      graph::Edge edge;
-      if (!eat('[') || !endpoint(edge.u)) return bail();
-      skip_ws();
-      if (!eat(',') || !endpoint(edge.v)) return bail();
-      skip_ws();
+    if (!eat(']')) {
+      do {
+        graph::Edge edge;
+        if (!eat('[') || !endpoint(edge.u) || !eat(',') ||
+            !endpoint(edge.v) || !eat(']')) {
+          return bail();
+        }
+        out.push_back(edge);
+      } while (eat(','));
       if (!eat(']')) return bail();
-      out.push_back(edge);
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat(']')) return true;
-      return bail();
     }
-  }
-
-  /// One pair element of `edge_pairs`: an integral literal in u32 range.
-  bool endpoint(graph::NodeId& out) {
-    skip_ws();
-    NumberToken token;
-    if (!number_token(token).ok() || !token.is_integer || token.integer < 0 ||
-        token.integer > std::numeric_limits<graph::NodeId>::max()) {
-      return false;
-    }
-    out = static_cast<graph::NodeId>(token.integer);
+    pos_ = static_cast<std::size_t>(p - text_.data());
     return true;
   }
 
   Status number(Json& out) {
     out.type = Json::Type::kNumber;
-    NumberToken token;
-    Status status = number_token(token);
-    out.number = token.number;
-    out.integer = token.integer;
-    out.is_integer = token.is_integer;
-    return status;
-  }
-
-  Status number_token(NumberToken& out) {
     const std::size_t begin = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     bool integral = true;

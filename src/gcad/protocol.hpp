@@ -103,8 +103,9 @@ struct Request {
 /// types, unknown op or key, out-of-range endpoint, self-loop, oversized n
 /// — is a distinct kInvalidArgument diagnosis; `out` is only written on
 /// success.  Never throws on malformed input.  A well-formed `edges` array
-/// is read straight into u32 pairs, with no DOM node per endpoint, and the
-/// graph is built from them in bulk: O(bytes + n + m).  Any other shape of
+/// is read straight into u32 pairs by one pointer scan, with no DOM node
+/// per endpoint, and the flat graph is built from them in one counting
+/// sort: O(bytes + n + m), two heap blocks per graph.  Any other shape of
 /// `edges` takes the DOM, so the language and the diagnoses are
 /// `parse_json`'s.
 [[nodiscard]] Status parse_request(std::string_view line, Request& out);

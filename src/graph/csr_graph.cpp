@@ -11,15 +11,9 @@ CsrGraph CsrGraph::from_graph(const Graph& g) {
   CsrGraph out;
   out.n_ = g.node_count();
   out.adjacency_ = std::make_shared<Adjacency>();
-  Adjacency& adj = *out.adjacency_;
-  adj.offsets.assign(std::size_t{out.n_} + 1, 0);
-  adj.arcs.reserve(2 * g.edge_count());
-  for (NodeId u = 0; u < out.n_; ++u) {
-    const std::vector<NodeId>& row = g.neighbors(u);
-    adj.arcs.insert(adj.arcs.end(), row.begin(), row.end());
-    adj.offsets[u + 1] = adj.arcs.size();
-  }
-  adj.ready.store(true, std::memory_order_release);
+  out.adjacency_->offsets = g.offsets();
+  out.adjacency_->arcs = g.arcs();
+  out.adjacency_->ready.store(true, std::memory_order_release);
   return out;
 }
 
@@ -44,43 +38,7 @@ const CsrGraph::Adjacency& CsrGraph::empty_adjacency() {
 void CsrGraph::build_once() const {
   Adjacency& adj = *adjacency_;
   std::call_once(adj.built, [&] {
-    std::vector<std::size_t>& offsets = adj.offsets;
-    std::vector<NodeId>& arcs = adj.arcs;
-    offsets.assign(std::size_t{n_} + 1, 0);
-    // Two-pass counting sort over the arcs: O(n + m) time, no comparison
-    // sort over the full arc array.  Degrees first (offsets[u + 1] counts
-    // arcs of u), then an exclusive scan, then placement.
-    for (const Edge& e : pairs_) {
-      if (e.u == e.v) continue;  // self-loops never label anything
-      ++offsets[std::size_t{e.u} + 1];
-      ++offsets[std::size_t{e.v} + 1];
-    }
-    for (std::size_t u = 0; u < n_; ++u) offsets[u + 1] += offsets[u];
-    arcs.resize(offsets[n_]);
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const Edge& e : pairs_) {
-      if (e.u == e.v) continue;
-      arcs[cursor[e.u]++] = e.v;
-      arcs[cursor[e.v]++] = e.u;
-    }
-    // Per-node sort + dedup keeps `neighbors(u)` ascending and collapses
-    // parallel edges; compaction rewrites offsets in place.
-    std::size_t write = 0;
-    std::size_t row_begin = 0;
-    for (NodeId u = 0; u < n_; ++u) {
-      const std::size_t row_end = offsets[u + 1];
-      std::sort(arcs.begin() + static_cast<std::ptrdiff_t>(row_begin),
-                arcs.begin() + static_cast<std::ptrdiff_t>(row_end));
-      NodeId last = n_;  // impossible neighbour value
-      for (std::size_t k = row_begin; k < row_end; ++k) {
-        if (arcs[k] == last) continue;
-        last = arcs[k];
-        arcs[write++] = last;
-      }
-      row_begin = row_end;
-      offsets[u + 1] = write;
-    }
-    arcs.resize(write);
+    build_adjacency(n_, pairs_, adj.offsets, adj.arcs);
     adj.ready.store(true, std::memory_order_release);
   });
 }
@@ -131,13 +89,14 @@ std::uint64_t CsrGraph::content_hash() const {
 }
 
 Graph CsrGraph::to_graph() const {
-  Graph g(n_);
+  std::vector<Edge> pairs;
+  pairs.reserve(edge_count());
   for (NodeId u = 0; u < n_; ++u) {
     for (const NodeId v : neighbors(u)) {
-      if (u < v) g.add_edge(u, v);
+      if (u < v) pairs.push_back(Edge{u, v});
     }
   }
-  return g;
+  return Graph::from_edges(n_, pairs);
 }
 
 }  // namespace gcalib::graph

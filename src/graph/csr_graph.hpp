@@ -1,17 +1,18 @@
 // Immutable CSR (compressed sparse row) adjacency — the sparse substrate.
 //
-// `Graph` keeps one heap-allocated, growable list per node, which suits
-// incremental construction but not bulk sweeps.  `CsrGraph` stores the 2m
-// directed arcs in two flat arrays (offsets + neighbour ids), so building
-// it and sweeping it are both O(n + m) with no per-node allocation — the
-// representation behind the sync hook + pointer-jump reference
-// (core/sparse_cc_solver.hpp, DESIGN.md §12).
+// `CsrGraph` stores the 2m directed arcs in the same two flat arrays
+// (offsets + neighbour ids) as `Graph`, built by the same counting sort
+// (`build_adjacency`), so `from_graph` is a copy and sweeping either is
+// O(n + m) with no per-node allocation — the representation behind the
+// sync hook + pointer-jump reference (core/sparse_cc_solver.hpp,
+// DESIGN.md §12).
 //
-// A graph built by `from_edges` keeps the checked pairs it was given and
-// builds offsets and arcs only when an adjacency accessor first asks for
-// them: the production link pass labels straight from the pairs
-// (`input_pairs`) and never pays for adjacency it does not read.  The
-// build runs once, thread-safely, and copies of a graph share it.
+// What `Graph` lacks is laziness: a graph built by `from_edges` keeps the
+// checked pairs it was given and builds offsets and arcs only when an
+// adjacency accessor first asks for them.  The production link pass labels
+// straight from the pairs (`input_pairs`) and never pays for adjacency it
+// does not read.  The build runs once, thread-safely, and copies of a
+// graph share it.
 //
 // The structure is immutable after construction: solvers keep labels
 // *next to* it and never mutate the adjacency, which is what makes
@@ -37,14 +38,14 @@ class CsrGraph {
  public:
   CsrGraph() = default;
 
-  /// Builds the CSR view of an existing `Graph` (O(n + m)).
+  /// Copies the two arrays of an existing `Graph` (O(n + m)).
   [[nodiscard]] static CsrGraph from_graph(const Graph& g);
 
-  /// Checks and keeps an edge list, for millions of edges: O(m), no
-  /// per-node lists and no adjacency until an accessor asks for it.
-  /// The adjacency drops self-loops and collapses duplicate edges,
-  /// matching `Graph::from_edges` semantics.  Throws ContractViolation on
-  /// an endpoint >= n.
+  /// Checks and keeps an edge list, for millions of edges: O(m), and no
+  /// adjacency until an accessor asks for it.  The adjacency drops
+  /// self-loops and collapses duplicate edges, with the counting sort
+  /// `Graph::from_edges` uses.  Throws ContractViolation on an endpoint
+  /// >= n.
   [[nodiscard]] static CsrGraph from_edges(NodeId n,
                                            const std::vector<Edge>& edges);
 
@@ -103,8 +104,8 @@ class CsrGraph {
   [[nodiscard]] std::vector<NodeId> edge_balanced_boundaries(
       unsigned parts) const;
 
-  /// Materialises the adjacency-list `Graph` (O(n + m); round-trip helper
-  /// for tests and the paper machines' inputs).
+  /// Materialises the `Graph` of the same edges (O(n + m); round-trip
+  /// helper for tests and the paper machines' inputs).
   [[nodiscard]] Graph to_graph() const;
 
   /// Order-sensitive 64-bit digest of the adjacency structure (FNV-1a over

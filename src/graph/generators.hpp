@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,9 +62,18 @@ namespace gcalib::graph {
 /// n isolated nodes (no edges): n components.
 [[nodiscard]] Graph empty_graph(NodeId n);
 
+/// A `make_named` spec that names no family, carries a parameter that is
+/// not one whole, finite, in-range literal, or does not fit n.  The
+/// message names the spec.
+class BadGraphSpec : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Named generator dispatch used by CLI tools:
 /// "gnp:<p>", "gnm:<m>", "path", "cycle", "star", "complete", "tree",
 /// "cliques:<k>", "planted:<k>:<p>", "grid:<rows>", "bipartite:<a>", "empty".
+/// Parameters are optional; a bad spec throws BadGraphSpec.
 [[nodiscard]] Graph make_named(const std::string& spec, NodeId n,
                                std::uint64_t seed);
 

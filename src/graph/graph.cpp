@@ -4,56 +4,76 @@
 
 namespace gcalib::graph {
 
-Graph::Graph(NodeId n) : n_(n), adjacency_(n) {}
+void build_adjacency(NodeId n, std::span<const Edge> edges,
+                     std::vector<std::size_t>& offsets,
+                     std::vector<NodeId>& arcs) {
+  // Counting sort of the arcs by source: degrees (offsets[u + 1] counts
+  // the arcs of u), an exclusive scan, then placement in input order.
+  offsets.assign(std::size_t{n} + 1, 0);
+  for (const Edge& e : edges) {
+    if (e.u == e.v) continue;  // self-loops never label anything
+    ++offsets[std::size_t{e.u} + 1];
+    ++offsets[std::size_t{e.v} + 1];
+  }
+  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<NodeId> unsorted(offsets[n]);
+  for (const Edge& e : edges) {
+    if (e.u == e.v) continue;
+    unsorted[cursor[e.u]++] = e.v;
+    unsorted[cursor[e.v]++] = e.u;
+  }
+  // Transpose: walking the rows in ascending u and appending u to the row
+  // of each of its neighbours v fills every row in ascending order, and
+  // by symmetry row v receives exactly v's neighbours.  A duplicate lands
+  // right after its twin, so it is skipped as it arrives.
+  std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
+  arcs.resize(offsets[n]);
+  bool duplicates = false;
+  for (NodeId u = 0; u < n; ++u) {
+    for (std::size_t k = offsets[u]; k < offsets[u + 1]; ++k) {
+      std::size_t& at = cursor[unsorted[k]];
+      if (at != offsets[unsorted[k]] && arcs[at - 1] == u) {
+        duplicates = true;
+        continue;
+      }
+      arcs[at++] = u;
+    }
+  }
+  if (!duplicates) return;
+  // Close the gaps the skipped duplicates left at the ends of rows.
+  std::size_t write = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const std::size_t begin = offsets[u];
+    offsets[u] = write;
+    for (std::size_t k = begin; k < cursor[u]; ++k) arcs[write++] = arcs[k];
+  }
+  offsets[n] = write;
+  arcs.resize(write);
+}
 
 Graph Graph::from_edges(NodeId n, const std::vector<Edge>& edges) {
-  Graph g(n);
-  std::vector<NodeId> degree(n, 0);
   for (const Edge& e : edges) {
     GCALIB_EXPECTS(e.u < n && e.v < n);
     GCALIB_EXPECTS_MSG(e.u != e.v, "self-loops are not representable");
-    ++degree[e.u];
-    ++degree[e.v];
   }
-  for (NodeId u = 0; u < n; ++u) g.adjacency_[u].reserve(degree[u]);
-  for (const Edge& e : edges) {
-    g.adjacency_[e.u].push_back(e.v);
-    g.adjacency_[e.v].push_back(e.u);
-  }
-  for (std::vector<NodeId>& list : g.adjacency_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    g.edges_ += list.size();
-  }
-  g.edges_ /= 2;
+  Graph g;
+  g.n_ = n;
+  build_adjacency(n, edges, g.offsets_, g.arcs_);
   return g;
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
   GCALIB_EXPECTS(u < n_ && v < n_);
-  return std::binary_search(adjacency_[u].begin(), adjacency_[u].end(), v);
-}
-
-bool Graph::add_edge(NodeId u, NodeId v) {
-  GCALIB_EXPECTS(u < n_ && v < n_);
-  GCALIB_EXPECTS_MSG(u != v, "self-loops are not representable");
-  // Lists stay sorted for deterministic iteration; the insertion point of
-  // v in u's list doubles as the duplicate check.
-  std::vector<NodeId>& from_u = adjacency_[u];
-  const auto at = std::lower_bound(from_u.begin(), from_u.end(), v);
-  if (at != from_u.end() && *at == v) return false;
-  from_u.insert(at, v);
-  std::vector<NodeId>& from_v = adjacency_[v];
-  from_v.insert(std::lower_bound(from_v.begin(), from_v.end(), u), u);
-  ++edges_;
-  return true;
+  const std::span<const NodeId> row = neighbors(u);
+  return std::binary_search(row.begin(), row.end(), v);
 }
 
 std::vector<Edge> Graph::edges() const {
   std::vector<Edge> out;
-  out.reserve(edges_);
+  out.reserve(edge_count());
   for (NodeId u = 0; u < n_; ++u) {
-    for (NodeId v : adjacency_[u]) {
+    for (const NodeId v : neighbors(u)) {
       if (u < v) out.push_back(Edge{u, v});
     }
   }
@@ -63,7 +83,7 @@ std::vector<Edge> Graph::edges() const {
 double Graph::density() const {
   if (n_ < 2) return 0.0;
   const double possible = 0.5 * static_cast<double>(n_) * (n_ - 1.0);
-  return static_cast<double>(edges_) / possible;
+  return static_cast<double>(edge_count()) / possible;
 }
 
 }  // namespace gcalib::graph

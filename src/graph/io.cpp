@@ -45,7 +45,7 @@ Graph read_edge_list(std::istream& is) {
   if (!have_header) {
     parse_fail("edge list", lineno + 1, "missing \"n m\" header");
   }
-  Graph g(static_cast<NodeId>(n));
+  std::vector<Edge> pairs;
   std::size_t edges = 0;
   while (edges < m && std::getline(is, line)) {
     ++lineno;
@@ -60,7 +60,8 @@ Graph read_edge_list(std::istream& is) {
       parse_fail("edge list", lineno,
                  "node out of range (ids must be < " + std::to_string(n) + ")");
     }
-    g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    GCALIB_EXPECTS_MSG(u != v, "self-loops are not representable");
+    pairs.push_back(Edge{static_cast<NodeId>(u), static_cast<NodeId>(v)});
     ++edges;
   }
   if (edges < m) {
@@ -68,7 +69,7 @@ Graph read_edge_list(std::istream& is) {
                "truncated: only " + std::to_string(edges) + " of " +
                    std::to_string(m) + " edges before end of input");
   }
-  return g;
+  return Graph::from_edges(static_cast<NodeId>(n), pairs);
 }
 
 void write_dimacs(std::ostream& os, const Graph& g) {
@@ -79,7 +80,8 @@ void write_dimacs(std::ostream& os, const Graph& g) {
 Graph read_dimacs(std::istream& is) {
   std::string line;
   std::size_t lineno = 0;
-  Graph g;
+  NodeId n = 0;
+  std::vector<Edge> pairs;
   bool have_header = false;
   while (std::getline(is, line)) {
     ++lineno;
@@ -94,12 +96,12 @@ Graph read_dimacs(std::istream& is) {
         parse_fail("dimacs", lineno, "duplicate problem line");
       }
       std::string kind;
-      std::size_t n = 0, m = 0;
-      if (!(ls >> kind >> n >> m) || kind != "edge" || (ls >> junk)) {
+      std::size_t nodes = 0, m = 0;
+      if (!(ls >> kind >> nodes >> m) || kind != "edge" || (ls >> junk)) {
         parse_fail("dimacs", lineno,
                    "bad problem line (expected \"p edge <n> <m>\")");
       }
-      g = Graph(static_cast<NodeId>(n));
+      n = static_cast<NodeId>(nodes);
       have_header = true;
     } else if (tag == 'e') {
       if (!have_header) {
@@ -109,12 +111,14 @@ Graph read_dimacs(std::istream& is) {
       if (!(ls >> u >> v) || (ls >> junk)) {
         parse_fail("dimacs", lineno, "bad edge line (expected \"e <u> <v>\")");
       }
-      if (u == 0 || v == 0 || u > g.node_count() || v > g.node_count()) {
+      if (u == 0 || v == 0 || u > n || v > n) {
         parse_fail("dimacs", lineno,
                    "node out of range (1-based ids must be <= " +
-                       std::to_string(g.node_count()) + ")");
+                       std::to_string(n) + ")");
       }
-      g.add_edge(static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1));
+      GCALIB_EXPECTS_MSG(u != v, "self-loops are not representable");
+      pairs.push_back(
+          Edge{static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1)});
     } else {
       parse_fail("dimacs", lineno,
                  std::string("unknown line tag '") + tag + "'");
@@ -123,7 +127,7 @@ Graph read_dimacs(std::istream& is) {
   if (!have_header) {
     parse_fail("dimacs", lineno + 1, "missing problem line");
   }
-  return g;
+  return Graph::from_edges(n, pairs);
 }
 
 Graph parse_matrix(const std::string& text) {
@@ -146,7 +150,7 @@ Graph parse_matrix(const std::string& text) {
       throw std::runtime_error("matrix literal is not square");
     }
   }
-  Graph g(static_cast<NodeId>(n));
+  std::vector<Edge> pairs;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (rows[i][j] != '1') continue;
@@ -156,10 +160,12 @@ Graph parse_matrix(const std::string& text) {
       if (rows[j][i] != '1') {
         throw std::runtime_error("matrix literal is not symmetric");
       }
-      if (i < j) g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
+      if (i < j) {
+        pairs.push_back(Edge{static_cast<NodeId>(i), static_cast<NodeId>(j)});
+      }
     }
   }
-  return g;
+  return Graph::from_edges(static_cast<NodeId>(n), pairs);
 }
 
 std::string format_matrix(const Graph& g) {

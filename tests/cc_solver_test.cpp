@@ -22,12 +22,7 @@ namespace gcalib::core {
 namespace {
 
 graph::Graph two_components() {
-  graph::Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  return g;
+  return graph::Graph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
 }
 
 TEST(CcSolverRegistry, SolversReportTheirSubstrate) {

@@ -33,7 +33,7 @@ std::vector<NodeId> link_labels(const core::SolverInput& input) {
   return core::sparse_cc_solver().solve(input, options).labels;
 }
 
-/// The link pass on every input shape: a `Graph`'s lists, a `from_graph`
+/// The link pass on every input shape: a `Graph`'s rows, a `from_graph`
 /// CsrGraph's arcs, and a `from_edges` CsrGraph's raw pairs.
 void expect_link_agrees(const Graph& g, const std::vector<graph::Edge>& pairs,
                         const std::vector<NodeId>& oracle,
@@ -164,12 +164,12 @@ TEST(CrossValidation, WorstCaseChainForPointerJumping) {
   // for step 3; a two-path "ladder" exercises 2-cycles of supernodes.
   expect_all_agree(graph::path(128), "path-128");
   expect_all_agree(graph::star(128), "star-128");
-  Graph ladder(64);
+  std::vector<graph::Edge> rails;
   for (NodeId i = 0; i + 2 < 64; i += 2) {
-    ladder.add_edge(i, i + 2);
-    ladder.add_edge(i + 1, i + 3);
+    rails.push_back({i, i + 2});
+    rails.push_back({i + 1, i + 3});
   }
-  expect_all_agree(ladder, "two-paths");
+  expect_all_agree(Graph::from_edges(64, rails), "two-paths");
 }
 
 }  // namespace

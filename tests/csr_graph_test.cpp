@@ -23,11 +23,7 @@ TEST(CsrGraph, EmptyGraph) {
 }
 
 TEST(CsrGraph, FromGraphMatchesAdjacency) {
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  g.add_edge(0, 4);
+  const Graph g = Graph::from_edges(5, {{0, 1}, {1, 2}, {3, 4}, {0, 4}});
   const CsrGraph csr = CsrGraph::from_graph(g);
   ASSERT_EQ(csr.node_count(), 5u);
   EXPECT_EQ(csr.edge_count(), 4u);
@@ -87,14 +83,12 @@ TEST(CsrGraph, RoundTripsThroughDenseGraph) {
 }
 
 TEST(CsrGraph, EqualityComparesStructure) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  const CsrGraph a = CsrGraph::from_graph(g);
+  const CsrGraph a =
+      CsrGraph::from_graph(Graph::from_edges(4, {{0, 1}, {2, 3}}));
   const CsrGraph b = CsrGraph::from_edges(4, {{2, 3}, {0, 1}});
   EXPECT_EQ(a, b);
-  g.add_edge(1, 2);
-  EXPECT_NE(CsrGraph::from_graph(g), a);
+  EXPECT_NE(
+      CsrGraph::from_graph(Graph::from_edges(4, {{0, 1}, {2, 3}, {1, 2}})), a);
 }
 
 TEST(CsrGraph, DensityMatchesDenseGraph) {

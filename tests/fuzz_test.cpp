@@ -390,7 +390,7 @@ Status dom_request(const std::string& line, gcad::Request& out) {
   if (request.op == gcad::Op::kSolve) {
     if (!saw_id) return invalid("a solve request needs an \"id\"");
     if (n == 0) return invalid("a solve request needs \"n\"");
-    graph::Graph g(static_cast<graph::NodeId>(n));
+    std::vector<graph::Edge> pairs;
     for (const Json& pair : edges != nullptr ? edges->array
                                              : std::vector<Json>{}) {
       if (pair.type != Json::Type::kArray || pair.array.size() != 2) {
@@ -410,9 +410,11 @@ Status dom_request(const std::string& line, gcad::Request& out) {
         return invalid("self-loop at node " + std::to_string(u) +
                        " is not representable");
       }
-      g.add_edge(static_cast<graph::NodeId>(u), static_cast<graph::NodeId>(v));
+      pairs.push_back(graph::Edge{static_cast<graph::NodeId>(u),
+                                  static_cast<graph::NodeId>(v)});
     }
-    request.graph = std::move(g);
+    request.graph =
+        graph::Graph::from_edges(static_cast<graph::NodeId>(n), pairs);
   } else if ((request.op == gcad::Op::kPing ||
               request.op == gcad::Op::kStats) &&
              !saw_id) {
@@ -573,6 +575,23 @@ TEST(FuzzRequest, EdgeOfLanguageNumbersAgreeWithTheDom) {
       R"({"id":1,"op":"solve","n":3,"edges":[[[0],1]]})",
       R"({"id":1,"op":"solve","n":3,"edges":{"0":1}})",
       R"({"id":1,"op":"solve","n":3,"edges":[])",
+      // The pointer scan's boundaries: ten digits at most, worth at most
+      // 2^32 - 1; anything past them is the DOM's to read or diagnose.
+      R"({"id":1,"op":"solve","n":3,"edges":[[4294967295,1]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,4294967296]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[9999999999,1]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0000000001,2]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[00000000001,2]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,00000000002]]})",
+      "{\"id\":1,\"op\":\"solve\",\"n\":3,\"edges\":\t[\r[\n0\t,\r1\n]\t,"
+      "\r[\n1\t,\r2\n]\t]\r}",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,1],[2]]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[ ]})",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,1],[1,)",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0,1)",
+      R"({"id":1,"op":"solve","n":3,"edges":[[0)",
+      R"({"id":1,"op":"solve","n":3,"edges":[)",
+      R"({"id":1,"op":"solve","n":3,"edges":)",
   };
   for (const char* line : lines) expect_request_matches_dom(line, line);
 }

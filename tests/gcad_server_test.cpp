@@ -284,13 +284,8 @@ TEST(GcadServer, FaultInjectedQueriesRecoverViaRetry) {
   }
   const std::vector<Reply> replies = run_server(input, std::move(options));
   const std::vector<graph::NodeId> want =
-      graph::union_find_components([] {
-        graph::Graph g(10);
-        g.add_edge(0, 1);
-        g.add_edge(4, 5);
-        g.add_edge(8, 9);
-        return g;
-      }());
+      graph::union_find_components(
+          graph::Graph::from_edges(10, {{0, 1}, {4, 5}, {8, 9}}));
   for (std::uint64_t id = 1; id <= 6; ++id) {
     const Reply* done = find_reply(replies, "done", id);
     ASSERT_NE(done, nullptr) << id;

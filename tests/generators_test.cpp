@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "graph/cc_baselines.hpp"
 #include "graph/labeling.hpp"
@@ -141,6 +142,48 @@ TEST(Generators, MakeNamedDispatch) {
 
 TEST(Generators, MakeNamedUnknownThrows) {
   EXPECT_THROW(make_named("nonsense", 4, 0), std::runtime_error);
+}
+
+TEST(Generators, MakeNamedReadsEachParameterWhole) {
+  const auto diagnosis = [](const std::string& spec, NodeId n) {
+    try {
+      (void)make_named(spec, n, 1);
+    } catch (const BadGraphSpec& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(diagnosis("gnm:12x", 8),
+            "graph spec 'gnm:12x': m '12x' is not an integer");
+  EXPECT_EQ(diagnosis("gnp:abc", 8),
+            "graph spec 'gnp:abc': p 'abc' is not a finite number");
+  EXPECT_EQ(diagnosis("gnp:nan", 8),
+            "graph spec 'gnp:nan': p 'nan' is not a finite number");
+  EXPECT_EQ(diagnosis("gnp:1e999", 8),
+            "graph spec 'gnp:1e999': p '1e999' is out of range");
+  EXPECT_EQ(diagnosis("gnp:1.5", 8),
+            "graph spec 'gnp:1.5': p must be in [0, 1]");
+  EXPECT_EQ(diagnosis("gnm:-1", 8),
+            "graph spec 'gnm:-1': m '-1' is not an integer");
+  EXPECT_EQ(diagnosis("gnm:", 8), "graph spec 'gnm:': m '' is not an integer");
+  EXPECT_EQ(diagnosis("gnm:29", 8),
+            "graph spec 'gnm:29': m must be at most n(n-1)/2 = 28");
+  EXPECT_EQ(diagnosis("cliques:99999999999", 8),
+            "graph spec 'cliques:99999999999': k '99999999999' is out of range");
+  EXPECT_EQ(diagnosis("cliques:9", 8),
+            "graph spec 'cliques:9': k must be in [1, n = 8]");
+  EXPECT_EQ(diagnosis("grid:3", 8),
+            "graph spec 'grid:3': rows must divide n = 8");
+  EXPECT_EQ(diagnosis("planted:2:0.5:1", 8),
+            "graph spec 'planted:2:0.5:1': takes at most 2 parameter(s)");
+  EXPECT_EQ(diagnosis("path:3", 8),
+            "graph spec 'path:3': takes at most 0 parameter(s)");
+  EXPECT_EQ(diagnosis("nonsense", 8),
+            "graph spec 'nonsense': unknown family 'nonsense'");
+  // Whole literals in range still read as before.
+  EXPECT_EQ(diagnosis("gnm:28", 8), "accepted");
+  EXPECT_EQ(diagnosis("planted:2:0.5", 8), "accepted");
+  EXPECT_EQ(diagnosis("gnp:1", 8), "accepted");
 }
 
 TEST(Generators, NamedFamiliesNonEmpty) {

@@ -62,15 +62,15 @@ const Mode kModes[] = {
 /// label is decided by one arc, so a partition that mishandles exactly one
 /// chunk boundary shows up as a split component.
 graph::Graph two_cliques_bridge(graph::NodeId k) {
-  graph::Graph g(2 * k);
+  std::vector<graph::Edge> edges;
   for (graph::NodeId a = 0; a < k; ++a) {
     for (graph::NodeId b = a + 1; b < k; ++b) {
-      g.add_edge(a, b);
-      g.add_edge(k + a, k + b);
+      edges.push_back({a, b});
+      edges.push_back({k + a, k + b});
     }
   }
-  g.add_edge(k - 1, k);
-  return g;
+  edges.push_back({k - 1, k});
+  return graph::Graph::from_edges(2 * k, edges);
 }
 
 std::vector<graph::NodeId> solve_with(const graph::CsrGraph& csr,
@@ -136,8 +136,8 @@ TEST(SparseModeEquivalence, SelfCheckPassesInEveryMode) {
 
 TEST(SparseModeEquivalence, TinyGraphsInEveryExplicitMode) {
   for (const graph::NodeId n : {0u, 1u, 2u, 3u}) {
-    graph::Graph g(n);
-    if (n >= 2) g.add_edge(0, 1);
+    const graph::Graph g =
+        n >= 2 ? graph::Graph::from_edges(n, {{0, 1}}) : graph::Graph(n);
     const std::vector<graph::NodeId> oracle = graph::union_find_components(g);
     const graph::CsrGraph csr = graph::CsrGraph::from_graph(g);
     for (const Mode& mode : kModes) {
