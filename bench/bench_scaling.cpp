@@ -17,7 +17,6 @@
 #include "core/schedule.hpp"
 #include "gca/engine.hpp"
 #include "gca/execution.hpp"
-#include "gca/kernel_registry.hpp"
 #include "gca/metrics.hpp"
 #include "graph/cc_baselines.hpp"
 #include "graph/generators.hpp"
@@ -55,10 +54,9 @@ BENCHMARK(BM_GcaHirschberg)->RangeMultiplier(2)->Range(8, 256);
 
 // --- sweep-mode comparison: whole-field vs active-region scheduling ------
 //
-// The work-efficiency headline of the sparse sweep (ISSUE 4): identical
-// labels, but the engine only iterates each generation's ActiveRegion (and
-// dispatches the branch-free SoA kernels) instead of sweeping all n(n+1)
-// cells every step.  scripts/bench_engine.sh records both series and prints
+// The work-efficiency headline of the sparse sweep: identical labels, but
+// the engine only iterates each generation's ActiveRegion instead of
+// sweeping all n(n+1) cells every step.  scripts/bench_engine.sh records both series and prints
 // the sparse-over-dense speedup per n.
 
 void gca_hirschberg_sweep(benchmark::State& state, gcalib::gca::SweepMode sweep,
@@ -96,42 +94,6 @@ void BM_GcaHirschbergSparsePool(benchmark::State& state) {
   gca_hirschberg_sweep(state, gcalib::gca::SweepMode::kSparse, 8);
 }
 BENCHMARK(BM_GcaHirschbergSparsePool)->RangeMultiplier(2)->Range(64, 512);
-
-// --- kernel-table comparison: scalar golden reference vs auto dispatch --
-//
-// Same single-threaded sparse sweep, differing only in which kernel table
-// the registry dispatches (DESIGN.md §13).  scripts/bench_engine.sh prints
-// the auto-over-scalar speedup per n; perf_smoke gates a coarse version of
-// the same ratio.
-
-void gca_hirschberg_kernels(benchmark::State& state,
-                            gcalib::gca::KernelVariant kernels) {
-  if (!gcalib::gca::kernel_variant_supported(kernels)) {
-    state.SkipWithError("kernel variant not supported on this host");
-    return;
-  }
-  const Graph g = dense_graph(state.range(0));
-  gcalib::core::RunOptions options;
-  options.instrument = false;
-  options.sweep = gcalib::gca::SweepMode::kSparse;
-  options.kernels = kernels;
-  for (auto _ : state) {
-    gcalib::core::HirschbergGca machine(g);
-    benchmark::DoNotOptimize(machine.run(options).labels.data());
-  }
-  state.counters["cells"] =
-      static_cast<double>(state.range(0) * (state.range(0) + 1));
-}
-
-void BM_GcaKernelsScalar(benchmark::State& state) {
-  gca_hirschberg_kernels(state, gcalib::gca::KernelVariant::kScalar);
-}
-BENCHMARK(BM_GcaKernelsScalar)->RangeMultiplier(2)->Range(64, 512);
-
-void BM_GcaKernelsAuto(benchmark::State& state) {
-  gca_hirschberg_kernels(state, gcalib::gca::KernelVariant::kAuto);
-}
-BENCHMARK(BM_GcaKernelsAuto)->RangeMultiplier(2)->Range(64, 512);
 
 void BM_GcaHirschbergPool(benchmark::State& state) {
   const Graph g = dense_graph(state.range(0));

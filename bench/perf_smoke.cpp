@@ -4,11 +4,14 @@
 // pulls code and the graph into cache and absorbs one-off allocation; the
 // median shrugs off a single noisy neighbour) and prints the measured
 // ratios on failure, so a tripped gate is diagnosable from the log alone.
+// Gate 5 compares two sides within a few percent, so it takes their
+// samples interleaved: drift on the host then lands on both sides alike.
 //
 // Gate 1 (sweep): runs the Hirschberg machine at n = 128 (uninstrumented,
 // single thread) in both sweep modes and fails if the sparse active-region
 // schedule is more than 10% slower than the dense whole-field sweep — i.e.
-// if the work-efficiency machinery ever regresses into overhead.
+// if the work-efficiency machinery ever regresses into overhead.  The
+// field always runs its mediated per-cell rule (DESIGN.md §13).
 //
 // Gate 2 (substrate): at n = 2048 on a sparse random graph, the CSR
 // engine's default solve must be at least 10x faster than the dense
@@ -17,15 +20,8 @@
 // magnitude); tripping it means the CSR engine degenerated to dense-like
 // work.
 //
-// Gate 3 (kernels): at n >= 256, the auto-dispatched kernel table
-// (DESIGN.md §13: packed adjacency + SIMD variants + worklist scheduling)
-// must run the single-threaded sparse sweep at least 2.5x faster than the
-// scalar golden-reference table.  The measured ratio on an AVX2 host is
-// ~3.0x — the remaining steps are LLC-bandwidth-bound (every bulk
-// generation streams the full d and p planes), so the gate sits below
-// that with margin rather than at an aspirational number.  Skipped with a
-// message on hosts whose auto pick *is* scalar — the ratio is 1 by
-// construction there.
+// There is no Gate 3; the later gates keep their numbers so that logs of
+// different versions compare gate by gate.
 //
 // Gate 4 (link pass): at n >= 262144 on a random graph of about 2n
 // edges kept by `CsrGraph::from_edges`, the default sparse solve (the
@@ -36,10 +32,10 @@
 // Gate 5 (resilience overhead): at the gate-4 size, the sync round loop
 // with the DESIGN.md §15 resilience surface attached but detached — no-op
 // round hooks, monitors off, no certificate, no checkpoints — must stay
-// within 3% of the bare sync solve (median of >= 5).  Both sides pin
-// kSync, so the gate compares hooks, not engines.  The resilience
-// machinery is pay-for-what-you-use; this gate keeps the "use nothing"
-// price at zero.
+// within 3% of the bare sync solve (medians of >= 11 interleaved samples
+// per side).  Both sides pin kSync, so the gate compares hooks, not
+// engines.  The resilience machinery is pay-for-what-you-use; this gate
+// keeps the "use nothing" price at zero.
 //
 // Wired into scripts/check.sh as the "perf-smoke" phase; this is a coarse
 // tripwire (median-of-k, generous margins), not a benchmark —
@@ -54,13 +50,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/cc_solver.hpp"
 #include "core/hirschberg_gca.hpp"
 #include "gca/execution.hpp"
-#include "gca/kernel_registry.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 
@@ -69,27 +65,54 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 template <typename Run>
-double median_ms(int reps, const Run& run) {
-  run();  // untimed warmup
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto start = Clock::now();
-    run();
-    const auto stop = Clock::now();
-    samples.push_back(
-        std::chrono::duration<double, std::milli>(stop - start).count());
-  }
+double time_ms(const Run& run) {
+  const auto start = Clock::now();
+  run();
+  const auto stop = Clock::now();
+  return std::chrono::duration<double, std::milli>(stop - start).count();
+}
+
+double median(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
 }
 
+template <typename Run>
+double median_ms(int reps, const Run& run) {
+  run();  // untimed warmup
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(reps));
+  for (int r = 0; r < reps; ++r) samples.push_back(time_ms(run));
+  return median(samples);
+}
+
+/// Medians of `reps` samples of each of two runs, taken in pairs whose
+/// order alternates (a then b, b then a, ...) after one untimed warmup
+/// each.  Returns {median of a, median of b}.
+template <typename RunA, typename RunB>
+std::pair<double, double> interleaved_medians_ms(int reps, const RunA& a,
+                                                 const RunB& b) {
+  a();  // untimed warmups
+  b();
+  std::vector<double> a_samples;
+  std::vector<double> b_samples;
+  for (int r = 0; r < reps; ++r) {
+    if (r % 2 == 0) {
+      a_samples.push_back(time_ms(a));
+      b_samples.push_back(time_ms(b));
+    } else {
+      b_samples.push_back(time_ms(b));
+      a_samples.push_back(time_ms(a));
+    }
+  }
+  return {median(a_samples), median(b_samples)};
+}
+
 double sweep_run_ms(const gcalib::graph::Graph& g, gcalib::gca::SweepMode sweep,
-                    gcalib::gca::KernelVariant kernels, int reps) {
+                    int reps) {
   gcalib::core::RunOptions options;
   options.instrument = false;
   options.sweep = sweep;
-  options.kernels = kernels;
   return median_ms(reps, [&] {
     gcalib::core::HirschbergGca machine(g);
     const auto result = machine.run(options);
@@ -108,36 +131,36 @@ double substrate_ms(const gcalib::core::CcSolver& solver,
   });
 }
 
-double sparse_solve_ms(const gcalib::graph::CsrGraph& csr,
-                       gcalib::gca::SparseMode mode, int reps) {
+gcalib::core::RunOptions sparse_options(gcalib::gca::SparseMode mode) {
   gcalib::core::RunOptions options;
   options.instrument = false;
   options.sparse_mode = mode;
-  const gcalib::core::SolverInput input(csr);
-  return median_ms(reps, [&] {
-    const gcalib::core::QueryResult result =
-        gcalib::core::sparse_cc_solver().solve(input, options);
-    if (result.labels.empty()) std::abort();  // keep the run observable
-  });
+  return options;
 }
 
-/// Gate-5 variant: the same one-lane sync solve with the resilience
-/// surface attached but doing nothing — no-op before/after round hooks,
-/// monitors and certificate off, no checkpoint directory.  Measures the
-/// price of merely *having* the hooks threaded through the round loop.
-double sparse_detached_hooks_ms(const gcalib::graph::CsrGraph& csr,
-                                int reps) {
-  gcalib::core::RunOptions options;
-  options.instrument = false;
-  options.sparse_mode = gcalib::gca::SparseMode::kSync;
+/// Gate-5 variant: the one-lane sync solve with the resilience surface
+/// attached but doing nothing — no-op before/after round hooks, monitors
+/// and certificate off, no checkpoint directory.  Measures the price of
+/// merely *having* the hooks threaded through the round loop.
+gcalib::core::RunOptions detached_hooks_options() {
+  gcalib::core::RunOptions options =
+      sparse_options(gcalib::gca::SparseMode::kSync);
   options.sparse_before_round = [](const gcalib::core::SparseRoundContext&) {};
   options.sparse_after_round = [](const gcalib::core::SparseRoundContext&) {};
-  const gcalib::core::SolverInput input(csr);
-  return median_ms(reps, [&] {
-    const gcalib::core::QueryResult result =
-        gcalib::core::sparse_cc_solver().solve(input, options);
-    if (result.labels.empty()) std::abort();  // keep the run observable
-  });
+  return options;
+}
+
+void sparse_solve(const gcalib::core::SolverInput& input,
+                  const gcalib::core::RunOptions& options) {
+  const gcalib::core::QueryResult result =
+      gcalib::core::sparse_cc_solver().solve(input, options);
+  if (result.labels.empty()) std::abort();  // keep the run observable
+}
+
+double sparse_solve_ms(const gcalib::core::SolverInput& input,
+                       gcalib::gca::SparseMode mode, int reps) {
+  const gcalib::core::RunOptions options = sparse_options(mode);
+  return median_ms(reps, [&] { sparse_solve(input, options); });
 }
 
 /// Random m-edge graph kept as pairs by `CsrGraph::from_edges` — the
@@ -166,11 +189,8 @@ int main(int argc, char** argv) {
   const int reps = argc > 2 ? std::stoi(argv[2]) : 3;
   const gcalib::graph::Graph g = gcalib::graph::random_gnp(n, 0.5, 1);
 
-  constexpr auto kAuto = gcalib::gca::KernelVariant::kAuto;
-  const double dense =
-      sweep_run_ms(g, gcalib::gca::SweepMode::kDense, kAuto, reps);
-  const double sparse =
-      sweep_run_ms(g, gcalib::gca::SweepMode::kSparse, kAuto, reps);
+  const double dense = sweep_run_ms(g, gcalib::gca::SweepMode::kDense, reps);
+  const double sparse = sweep_run_ms(g, gcalib::gca::SweepMode::kSparse, reps);
 
   std::printf("perf-smoke: n=%u, median of %d runs (1 warmup)\n", n, reps);
   std::printf("  dense  sweep: %8.3f ms\n", dense);
@@ -213,51 +233,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Gate 3: kernel dispatch — the auto-picked table (packed planes + SIMD
-  // + worklist scheduling) vs the scalar golden reference, single-threaded
-  // sparse sweep at n >= 256 where the O(n^2) generations dominate.
-  const gcalib::gca::KernelVariant resolved =
-      gcalib::gca::resolve_kernel_variant(kAuto);
-  if (resolved == gcalib::gca::KernelVariant::kScalar) {
-    std::printf(
-        "perf-smoke: kernel gate skipped — auto resolves to scalar on this "
-        "host (no SIMD table registered)\n");
-  } else {
-    const auto kernel_n = std::max<gcalib::graph::NodeId>(n, 256);
-    const gcalib::graph::Graph kg =
-        kernel_n == n ? g : gcalib::graph::random_gnp(kernel_n, 0.5, 1);
-    const double scalar_ms = sweep_run_ms(
-        kg, gcalib::gca::SweepMode::kSparse,
-        gcalib::gca::KernelVariant::kScalar, reps);
-    const double auto_ms =
-        sweep_run_ms(kg, gcalib::gca::SweepMode::kSparse, kAuto, reps);
-    const double speedup = auto_ms > 0.0 ? scalar_ms / auto_ms : 0.0;
-    std::printf("perf-smoke: kernel gate at n=%u (auto = %s)\n", kernel_n,
-                gcalib::gca::to_string(resolved));
-    std::printf("  scalar kernels: %8.3f ms\n", scalar_ms);
-    std::printf("  auto   kernels: %8.3f ms (%.2fx)\n", auto_ms, speedup);
-    if (speedup < 2.5) {
-      std::fprintf(stderr,
-                   "perf-smoke FAILED: %s kernels are only %.2fx faster than "
-                   "scalar at n=%u (required: >= 2.5x; scalar %.3f ms, auto "
-                   "%.3f ms)\n",
-                   gcalib::gca::to_string(resolved), speedup, kernel_n,
-                   scalar_ms, auto_ms);
-      return 1;
-    }
-  }
-
   // Gate 4: the link pass vs the sync reference, both on one lane.
   const auto link_n = static_cast<gcalib::graph::NodeId>(
       argc > 4 ? std::stoul(argv[4]) : 262'144);
   const gcalib::graph::CsrGraph csr =
       sample_csr(link_n, 2 * static_cast<std::size_t>(link_n), 1);
+  const gcalib::core::SolverInput input(csr);
   constexpr auto kSync = gcalib::gca::SparseMode::kSync;
   {
     constexpr double kRequiredSpeedup = 3.0;
-    const double sync_ms = sparse_solve_ms(csr, kSync, reps);
+    const double sync_ms = sparse_solve_ms(input, kSync, reps);
     const double link_ms =
-        sparse_solve_ms(csr, gcalib::gca::SparseMode::kAuto, reps);
+        sparse_solve_ms(input, gcalib::gca::SparseMode::kAuto, reps);
     const double speedup = link_ms > 0.0 ? sync_ms / link_ms : 0.0;
     std::printf("perf-smoke: link pass gate at n=%u (m=%zu, one lane)\n",
                 csr.node_count(), csr.edge_count());
@@ -279,9 +266,12 @@ int main(int argc, char** argv) {
   // gap here means per-vertex work leaked behind the std::function checks.
   {
     constexpr double kAllowedOverhead = 1.03;
-    const int gate_reps = std::max(reps, 5);
-    const double bare_ms = sparse_solve_ms(csr, kSync, gate_reps);
-    const double hooked_ms = sparse_detached_hooks_ms(csr, gate_reps);
+    const int gate_reps = std::max(reps, 11);
+    const gcalib::core::RunOptions bare = sparse_options(kSync);
+    const gcalib::core::RunOptions hooked = detached_hooks_options();
+    const auto [bare_ms, hooked_ms] = interleaved_medians_ms(
+        gate_reps, [&] { sparse_solve(input, bare); },
+        [&] { sparse_solve(input, hooked); });
     const double ratio = bare_ms > 0.0 ? hooked_ms / bare_ms : 0.0;
     std::printf("perf-smoke: resilience overhead gate at n=%u (m=%zu)\n",
                 csr.node_count(), csr.edge_count());

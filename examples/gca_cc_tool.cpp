@@ -12,19 +12,21 @@
 //   $ ./gca_cc_tool --generate gnp:0.5 --n 128 --threads 4
 //
 // Algorithms: gca (default) | tree | ncells | pram | sv | unionfind | bfs
-// Engine flags (--threads, --sweep, --no-instrumentation, --record-access,
-// --trace-out, --metrics-out) steer the solver backend and its
-// observability: --threads 1 sweeps on the calling thread, more on the
-// shared worker pool.  Invalid combinations (e.g. --record-access with
-// --threads 2, or with --substrate sparse_csr) are rejected before the run
-// with exit status 2.
+// Engine flags (--threads, --sweep, --sparse-mode, --no-instrumentation,
+// --record-access, --trace-out, --metrics-out) steer the solver backend and
+// its observability: --threads 1 sweeps on the calling thread, more on the
+// shared worker pool.  Invalid combinations are rejected before the run
+// with exit status 2: --record-access with --threads 2, and a flag of one
+// substrate given to the other (--sweep or --record-access with
+// --substrate sparse_csr, --sparse-mode with the dense field).
 // --substrate picks the gca algorithm's engine by name: dense (default) is
 // the paper-faithful cell field, sparse_csr the O(m)-work CSR
 // label-propagation engine the production Runner runs — labelings are
 // bit-identical either way (DESIGN.md §12).
 // --sweep sparse (default) sweeps only each generation's active region;
 // --sweep dense sweeps the whole field every step (verification mode) —
-// both produce bit-identical labels and logical statistics.
+// both produce bit-identical labels and logical statistics.  The field
+// always runs its mediated per-cell rule.
 // Resilience flags (gca algorithm only): --deadline-ms bounds the run's
 // wall clock (expiry exits with status 3), --checkpoint-dir enables durable
 // checkpoints (a relaunch resumes mid-algorithm), --retries N re-attempts
@@ -144,7 +146,6 @@ LabelingOutcome run_algorithm(const std::string& name, const graph::Graph& g,
     options.instrument = exec.instrumentation;
     options.threads = exec.threads;
     options.sweep = gca::parse_sweep_mode(exec.sweep);
-    options.kernels = gca::parse_kernel_variant(exec.kernels);
     options.record_access = exec.record_access;
     options.sink = trace;
     options.deadline_ms = exec.deadline_ms;
@@ -240,6 +241,18 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "error: --record-access records the dense field's reads; "
                    "the sparse_csr substrate has none\n");
+      return 2;
+    }
+    if (substrate == "sparse_csr" && args.has("sweep")) {
+      std::fprintf(stderr,
+                   "error: --sweep picks how the dense field sweeps; the "
+                   "sparse_csr substrate has no field\n");
+      return 2;
+    }
+    if (substrate == "dense" && args.has("sparse-mode")) {
+      std::fprintf(stderr,
+                   "error: --sparse-mode picks the CSR engine; the dense "
+                   "substrate runs the cell field\n");
       return 2;
     }
     gca::Trace trace;

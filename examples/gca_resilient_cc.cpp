@@ -118,11 +118,10 @@ int main(int argc, char** argv) {
   gcalib::core::HirschbergGca machine(g);
   gcalib::gca::Trace trace;
   gcalib::fault::ResilientOptions options;
-  options.base.instrument = exec.instrumentation;
-  options.base.threads = exec.threads;
-  options.base.sweep = gcalib::gca::parse_sweep_mode(exec.sweep);
-  options.base.kernels = engine.kernels;
-  options.base.record_access = exec.record_access;
+  options.base.instrument = engine.instrumentation;
+  options.base.threads = engine.threads;
+  options.base.sweep = engine.sweep;
+  options.base.record_access = engine.record_access;
   if (exec.wants_metrics()) options.base.sink = &trace;
   options.max_rollbacks = 4;
   options.max_restarts = 2;

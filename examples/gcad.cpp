@@ -17,8 +17,8 @@
 // --max-batch N, --journal FILE, --fault-rate R, --fault-seed S,
 // --drain-timeout-ms N, --quiet.  gcad accepts no flag it would ignore:
 // every query runs on the CSR engine (DESIGN.md §12), so the dense
-// field's knobs (--sweep, --kernels, --record-access) and the engine
-// flags it has no use for (--sparse-mode, --no-instrumentation,
+// field's knobs (--sweep, --record-access) and the engine flags it has
+// no use for (--sparse-mode, --no-instrumentation,
 // --trace-out, --metrics-out, --deadline-ms; deadlines are per request)
 // are unknown options.
 //

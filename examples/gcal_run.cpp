@@ -8,8 +8,9 @@
 //   $ ./gcal_run --show-builtin          # print the embedded program
 //
 // --deadline-ms bounds the run's wall clock (expiry exits with status 3).
-// Durable checkpoints cover the native Hirschberg machine only, so
-// --checkpoint-dir is an unknown option here (exit 64).
+// Durable checkpoints cover the native Hirschberg machine only, and nothing
+// here reads recorded access edges, so --checkpoint-dir and --record-access
+// are unknown options here (exit 64).
 //
 // gcal is the paper's Figure-2 state graph as a language; see
 // src/gcal/interpreter.hpp for the reference.
@@ -43,6 +44,7 @@ int main(int argc, char** argv) {
                                 {"verify", false},
                                 {"trace", false}});
     spec.erase("checkpoint-dir");
+    spec.erase("record-access");
     const CliArgs args = CliArgs::parse_or_exit(argc, argv, spec);
     if (args.has("show-builtin")) {
       std::fputs(gcal::hirschberg_gcal_source().c_str(), stdout);

@@ -22,6 +22,7 @@
 // Exit codes: 0 ok, 1 wrong labels, 2 usage.
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,11 +54,14 @@ std::size_t count_site(const SparseFaultPlan& plan, SparseFaultSite site) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const gcalib::CliArgs args = gcalib::CliArgs::parse_or_exit(
-      argc, argv,
-      gcalib::cli::with_engine_flags(
-          {{"n", true}, {"seed", true}, {"rate", true},
-           {"round-delay-us", true}}));
+  // The CSR engine has no cell field: the field's --sweep and
+  // --record-access are unknown options here (exit 64).
+  std::map<std::string, bool> spec = gcalib::cli::with_engine_flags(
+      {{"n", true}, {"seed", true}, {"rate", true}, {"round-delay-us", true}});
+  spec.erase("sweep");
+  spec.erase("record-access");
+  const gcalib::CliArgs args =
+      gcalib::CliArgs::parse_or_exit(argc, argv, spec);
   const auto n = static_cast<NodeId>(args.get_int("n", 20000));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   const double rate = args.get_double("rate", 0.05);

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Engine benchmark: sweep scheduling (dense whole-field vs sparse
-# active-region), the bulk-kernel variants, one thread vs the persistent
-# pool, and the cost of the metrics layer.
+# active-region), one thread vs the persistent pool, and the cost of the
+# metrics layer.
 #
 # Builds bench_scaling from a **Release** tree and records the
-# GcaHirschberg{Dense,Sparse}[Pool], GcaKernels{Scalar,Auto}, EngineSweep*
-# and *Traced series (median of N repetitions) into a machine-readable JSON
-# file, then prints the sparse-over-dense and auto-kernel-over-scalar
-# speedups and the metrics-sink overhead.
+# GcaHirschberg{Dense,Sparse}[Pool], EngineSweep* and *Traced series
+# (median of N repetitions) into a machine-readable JSON file, then prints
+# the sparse-over-dense speedups and the metrics-sink overhead.
 #
 # Numbers from unoptimised builds are meaningless, so the script refuses to
 # run against a tree whose CMAKE_BUILD_TYPE is not Release (set
@@ -45,7 +44,7 @@ fi
 cmake --build "$BUILD_DIR" --target bench_scaling -j "$(nproc)"
 
 "$BUILD_DIR"/bench/bench_scaling \
-  --benchmark_filter='^BM_(EngineSweep(Sequential|Pool|PoolTraced)|GcaHirschberg|GcaHirschberg(Dense|Sparse|DensePool|SparsePool|Pool|Traced)|GcaKernels(Scalar|Auto))/' \
+  --benchmark_filter='^BM_(EngineSweep(Sequential|Pool|PoolTraced)|GcaHirschberg|GcaHirschberg(Dense|Sparse|DensePool|SparsePool|Pool|Traced))/' \
   --benchmark_repetitions="$REPS" \
   --benchmark_report_aggregates_only=true \
   --benchmark_out="$OUT" \
@@ -82,8 +81,6 @@ ratio_table("sparse speedup over dense (median wall-clock per run):",
             "BM_GcaHirschbergDense", "BM_GcaHirschbergSparse")
 ratio_table("sparse speedup over dense, pool x8:",
             "BM_GcaHirschbergDensePool", "BM_GcaHirschbergSparsePool")
-ratio_table("auto-kernel speedup over the scalar golden reference:",
-            "BM_GcaKernelsScalar", "BM_GcaKernelsAuto")
 print("metrics-sink overhead (median, traced / plain):")
 for traced_name, t_traced in sorted(medians.items()):
     if "Traced/" not in traced_name:

@@ -43,19 +43,10 @@ cmake --build "$BUILD_DIR" -j"$JOBS"
 # (Skipped when the caller passes its own ctest selection.)
 if [ "$#" -eq 0 ]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" \
-    -R '^([A-Za-z]+/)?(Engine|Metrics|Trace|Cli|Io|ActiveRegion|SweepIdentity|Checkpoint|Cancel|Gcad|Status|Substrate|Sparse|CcSolver|CsrGraph|Graph|SolverInput|Runner|Kernel|BitPlane|Worklist|SparseFault|Certificate|Gskp|FuzzJournal|FuzzRequest)[A-Za-z]*\.'
+    -R '^([A-Za-z]+/)?(Engine|Metrics|Trace|Cli|Io|ActiveRegion|SweepIdentity|Checkpoint|Cancel|Gcad|Status|Substrate|Sparse|CcSolver|CsrGraph|Graph|SolverInput|Runner|Kernel|SparseFault|Certificate|Gskp|FuzzJournal|FuzzRequest)[A-Za-z]*\.'
 fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" "$@"
-
-# Forced-scalar identity pass: GCALIB_KERNELS=scalar restricts the
-# bit-identity suite to the scalar golden reference, so the scalar bulk
-# kernels are checked against the mediated per-cell rule under the
-# sanitizer even on hosts whose auto pick is a SIMD table.
-if [ "$#" -eq 0 ]; then
-  GCALIB_KERNELS=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -j"$JOBS" -R '^KernelRegistry[A-Za-z]*\.'
-fi
 
 # TSan fast-fail over the shared state of the sparse engine: the parallel
 # sync sweeps (DESIGN.md §14), the resilience surface (DESIGN.md §15) that
@@ -99,11 +90,9 @@ fi
 # guardrail from a plain Release tree (shared with bench_engine.sh) and
 # fails if the sparse sweep regresses to >10% slower than dense at n = 128,
 # if the CSR substrate loses its >=10x edge over the dense field at
-# n = 2048 (DESIGN.md §12), if the auto-dispatched kernel table loses
-# its >=2.5x edge over the scalar reference at n = 256 (DESIGN.md §13), if
-# the link pass loses its >=3x edge over the one-lane sync reference at
-# n = 262144 (DESIGN.md §14), or if detached resilience hooks cost the sync
-# loop more than 3% (DESIGN.md §15).
+# n = 2048 (DESIGN.md §12), if the link pass loses its >=3x edge over the
+# one-lane sync reference at n = 262144 (DESIGN.md §14), or if detached
+# resilience hooks cost the sync loop more than 3% (DESIGN.md §15).
 if [ "${SKIP_PERF_SMOKE:-0}" != "1" ]; then
   PERF_BUILD_DIR="${PERF_BUILD_DIR:-build-bench}"
   if [ ! -d "$PERF_BUILD_DIR" ]; then

@@ -165,7 +165,6 @@ std::map<std::string, bool> with_engine_flags(
   spec.emplace("threads", true);
   spec.emplace("sweep", true);
   spec.emplace("sparse-mode", true);
-  spec.emplace("kernels", true);
   spec.emplace("no-instrumentation", false);
   spec.emplace("record-access", false);
   spec.emplace("trace-out", true);
@@ -185,7 +184,6 @@ EngineFlags engine_flags(const CliArgs& args) {
   flags.threads = static_cast<unsigned>(threads);
   flags.sweep = args.get_string("sweep", flags.sweep);
   flags.sparse_mode = args.get_string("sparse-mode", flags.sparse_mode);
-  flags.kernels = args.get_string("kernels", flags.kernels);
   flags.instrumentation = !args.has("no-instrumentation");
   flags.record_access = args.has("record-access");
   flags.trace_out = args.get_string("trace-out", "");

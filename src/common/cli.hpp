@@ -75,7 +75,6 @@ namespace cli {
 ///                          (requires an effectively sequential sweep)
 ///   --trace-out FILE       write a Chrome trace_event JSON of the run
 ///   --metrics-out FILE     write per-step metrics (.json = JSON, else CSV)
-///   --kernels NAME         bulk-kernel variant: scalar | avx2 | neon | auto
 ///   --deadline-ms N        wall-clock budget per run/query (0 = unlimited)
 ///   --checkpoint-dir DIR   durable checkpoints: resume from an intact
 ///                          checkpoint found in DIR and keep it current
@@ -84,16 +83,14 @@ namespace cli {
 /// entry points (core::Runner, gcad) always run the CSR engine, and
 /// `gca_cc_tool --substrate dense|sparse_csr` picks one by name
 /// (DESIGN.md §12).
-/// The sweep mode, sparse mode and kernel variant are carried as their
-/// spelled names; convert with gca::parse_sweep_mode /
-/// gca::parse_sparse_mode / gca::parse_kernel_variant (or build validated
-/// engine options with gca::options_from_flags) at the point of use —
-/// common/ stays below gca/ in the layering.
+/// The sweep mode and sparse mode are carried as their spelled names;
+/// convert with gca::parse_sweep_mode / gca::parse_sparse_mode (or build
+/// validated engine options with gca::options_from_flags) at the point of
+/// use — common/ stays below gca/ in the layering.
 struct EngineFlags {
   unsigned threads = 1;
   std::string sweep = "sparse";
   std::string sparse_mode = "auto";
-  std::string kernels = "auto";
   bool instrumentation = true;
   bool record_access = false;
   std::string trace_out;    ///< empty = tracing disabled

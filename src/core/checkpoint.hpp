@@ -2,9 +2,9 @@
 //
 // PR 1's snapshot/rollback recovery dies with the process: a SIGKILL mid-
 // algorithm loses every anchor and the run restarts from generation 0.
-// This module serialises the full machine state — both SoA planes (the
-// immutable adjacency bits plus the double-buffered d/p registers), the
-// engine generation counter and the state-machine position (next outer
+// This module serialises the full machine state — the a, d and p planes
+// of every cell (the adjacency bits plus the d/p registers), the engine
+// generation counter and the state-machine position (next outer
 // iteration) — into a small versioned binary artifact that survives the
 // process, so a relaunched run resumes mid-algorithm.
 //

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/bits.hpp"
 #include "core/cc_solver.hpp"
 #include "core/schedule.hpp"
 #include "core/state_graph.hpp"
-#include "gca/kernels.hpp"
 #include "graph/certificate.hpp"
 #include "graph/labeling.hpp"
 
@@ -30,11 +28,6 @@ std::vector<Cell> build_field(const graph::Graph& g) {
   }
   return cells;
 }
-
-/// Row-min offsets at or above this dispatch through the exact worklist
-/// (occupancy <= 1/32 of the square); below it a contiguous sweep — the
-/// rectangular window or the SIMD span kernel — wins on locality.
-constexpr std::size_t kWorklistMinOffset = 16;
 
 }  // namespace
 
@@ -93,171 +86,12 @@ gca::ActiveRegion HirschbergGca::region_for(Generation g, unsigned sub) const {
   return gca::ActiveRegion::full(engine_->size());
 }
 
-bool HirschbergGca::fast_kernels_enabled() const {
-  const gca::EngineOptions& options = engine_->options();
-  return options.sweep == gca::SweepMode::kSparse && !options.instrumentation &&
-         !options.record_access && !engine_->has_read_override();
-}
-
 gca::GenerationStats HirschbergGca::step_generation(Generation g,
                                                     unsigned subgeneration) {
   const std::size_t n = n_;
   const std::size_t nn = n * n;  // linear index of the first bottom-row cell
   const gca::FieldGeometry geo = geometry_;
   const gca::ActiveRegion region = region_for(g, subgeneration);
-
-  // The O(n^2)-active generations dispatch to the bulk SoA kernels when
-  // nothing needs to observe individual reads; *which* kernel runs —
-  // scalar, AVX2, NEON; window, span or exact worklist — is a per-step
-  // runtime decision through the registry (gca/kernel_registry.hpp).  The
-  // mediated uniform rule below remains the reference semantics and the
-  // only path under instrumentation, dense sweeps or fault interposers.
-  if (n > 0 && fast_kernels_enabled()) {
-    const gca::KernelTable& table =
-        gca::kernel_table(engine_->options().kernels);
-    const auto& immutable = engine_->soa_immutable();
-    const auto& current = engine_->soa_current();
-    auto& next = engine_->soa_next();
-    const std::uint32_t* d = current.d.data();
-    const std::uint32_t* p = current.p.data();
-    std::uint32_t* d_out = next.d.data();
-    std::uint32_t* p_out = next.p.data();
-    const std::string label = generation_label(g, subgeneration);
-    switch (g) {
-      case Generation::kCopyCToRows:
-      case Generation::kCopyTToRows: {
-        const auto fn = table.column_broadcast;
-        return engine_->step_bulk(
-            region,
-            [fn, n, d, d_out, p_out](std::size_t k_begin, std::size_t k_end) {
-              fn(n, d, d_out, p_out, k_begin, k_end);
-            },
-            label);
-      }
-      case Generation::kMaskNeighbors: {
-        const std::uint64_t* a = immutable.a.words();
-        const auto fn = table.mask_neighbors;
-        return engine_->step_bulk(
-            region,
-            [fn, n, a, d, d_out, p_out](std::size_t k_begin,
-                                        std::size_t k_end) {
-              fn(n, kInfData, a, d, d_out, p_out, k_begin, k_end);
-            },
-            label);
-      }
-      case Generation::kMaskMembers: {
-        const auto fn = table.mask_members;
-        return engine_->step_bulk(
-            region,
-            [fn, n, d, d_out, p_out](std::size_t k_begin, std::size_t k_end) {
-              fn(n, kInfData, d, d_out, p_out, k_begin, k_end);
-            },
-            label);
-      }
-      case Generation::kRowMin:
-      case Generation::kRowMin2: {
-        const std::size_t offset = std::size_t{1} << subgeneration;
-        if (offset >= kWorklistMinOffset && offset < n) {
-          // Low occupancy: enumerate exactly the active cells.
-          const gca::Worklist& list = row_min_worklist(subgeneration);
-          const std::uint32_t* indices = list.data();
-          const auto fn = table.row_min_indexed;
-          return engine_->step_bulk(
-              list,
-              [fn, offset, indices, d, d_out, p_out](std::size_t k_begin,
-                                                     std::size_t k_end) {
-                fn(offset, indices, d, d_out, p_out, k_begin, k_end);
-              },
-              label);
-        }
-        if (offset <= table.row_min_span_max_offset) {
-          // High occupancy with a SIMD span kernel: contiguous sweep of
-          // the square carrying d/p at inactive cells, committed by the
-          // engine's complement swap; the stats still report the strided
-          // window's count as active.
-          const gca::ActiveRegion span{0, n, 0, n, 1, n};
-          const auto fn = table.row_min_span;
-          return engine_->step_bulk(
-              span, region.count(),
-              [fn, n, offset, d, p, d_out, p_out](std::size_t k_begin,
-                                                  std::size_t k_end) {
-                fn(n, offset, d, p, d_out, p_out, k_begin, k_end);
-              },
-              label);
-        }
-        const auto fn = table.row_min;
-        return engine_->step_bulk(
-            region,
-            [fn, n, offset, d, d_out, p_out](std::size_t k_begin,
-                                             std::size_t k_end) {
-              fn(n, offset, d, d_out, p_out, k_begin, k_end);
-            },
-            label);
-      }
-      case Generation::kAdopt: {
-        const auto fn = table.adopt;
-        return engine_->step_bulk(
-            region,
-            [fn, n, d, d_out, p_out](std::size_t k_begin, std::size_t k_end) {
-              fn(n, d, d_out, p_out, k_begin, k_end);
-            },
-            label);
-      }
-      case Generation::kPointerJump: {
-        const std::size_t cells = engine_->size();
-        const gca::Worklist& list = column_worklist();
-        const std::uint32_t* indices = list.data();
-        const auto fn = table.pointer_jump_indexed;
-        return engine_->step_bulk(
-            list,
-            [fn, n, cells, indices, d, d_out, p_out](std::size_t k_begin,
-                                                     std::size_t k_end) {
-              fn(n, cells, indices, d, d_out, p_out, k_begin, k_end);
-            },
-            label);
-      }
-      case Generation::kInit: {
-        // Null on the scalar table: the golden reference keeps this on the
-        // mediated per-cell rule (same for the three cases below).
-        const auto fn = table.init;
-        if (fn == nullptr) break;
-        return engine_->step_bulk(
-            region,
-            [fn, n, d_out, p_out](std::size_t k_begin, std::size_t k_end) {
-              fn(n, d_out, p_out, k_begin, k_end);
-            },
-            label);
-      }
-      case Generation::kFallback:
-      case Generation::kFallback2: {
-        const auto fn = table.fallback_indexed;
-        if (fn == nullptr) break;
-        const gca::Worklist& list = column_worklist();
-        const std::uint32_t* indices = list.data();
-        return engine_->step_bulk(
-            list,
-            [fn, n, indices, d, d_out, p_out](std::size_t k_begin,
-                                              std::size_t k_end) {
-              fn(n, kInfData, indices, d, d_out, p_out, k_begin, k_end);
-            },
-            label);
-      }
-      case Generation::kFinalMin: {
-        const auto fn = table.final_min_indexed;
-        if (fn == nullptr) break;
-        const std::size_t cells = engine_->size();
-        const gca::Worklist& list = column_worklist();
-        const std::uint32_t* indices = list.data();
-        return engine_->step_bulk(
-            list,
-            [fn, n, cells, indices, d, d_out, p_out](std::size_t k_begin,
-                                                     std::size_t k_end) {
-              fn(n, cells, indices, d, d_out, p_out, k_begin, k_end);
-            },
-            label);
-      }
-    }
-  }
 
   switch (g) {
     case Generation::kInit:
@@ -458,37 +292,6 @@ void HirschbergGca::run_iteration(unsigned iteration, const StepHooks& hooks) {
   }
 }
 
-const gca::Worklist& HirschbergGca::row_min_worklist(unsigned sub) {
-  if (row_min_worklists_.empty()) {
-    row_min_worklists_.resize(subgeneration_count(n_));
-  }
-  GCALIB_ASSERT_MSG(sub < row_min_worklists_.size(),
-                    "row-min sub-generation outside the schedule");
-  gca::Worklist& list = row_min_worklists_[sub];
-  if (list.empty()) {  // geometry-only, so build once and cache (the
-                       // region is never empty when this is reached)
-    const gca::ActiveRegion region = region_for(Generation::kRowMin, sub);
-    const std::size_t words = (n_ * n_ + 63) / 64;
-    gca::ScratchLease<std::uint64_t> scratch(words);
-    std::uint64_t* bits = scratch.data();
-    std::fill_n(bits, words, std::uint64_t{0});
-    region.for_each(0, region.count(), [bits](std::size_t i) {
-      bits[i >> 6] |= std::uint64_t{1} << (i & 63);
-    });
-    list.assign_from_bits(bits, words);
-  }
-  return list;
-}
-
-const gca::Worklist& HirschbergGca::column_worklist() {
-  if (column_worklist_.empty()) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      column_worklist_.push_back(static_cast<std::uint32_t>(j * n_));
-    }
-  }
-  return column_worklist_;
-}
-
 /// Reconstructs the input graph from the adjacency bits stored in the cell
 /// field (used by the self-check so no external graph reference is needed).
 graph::Graph HirschbergGca::graph_from_field() const {
@@ -508,9 +311,15 @@ CheckpointData HirschbergGca::checkpoint_data(unsigned next_iteration) const {
   data.n = n_;
   data.iteration = next_iteration;
   data.generation = engine_->generation();
-  data.a = engine_->soa_immutable().a.unpack();
-  data.d = engine_->soa_current().d;
-  data.p = engine_->soa_current().p;
+  const std::vector<Cell>& cells = engine_->states();
+  data.a.reserve(cells.size());
+  data.d.reserve(cells.size());
+  data.p.reserve(cells.size());
+  for (const Cell& cell : cells) {
+    data.a.push_back(cell.a);
+    data.d.push_back(cell.d);
+    data.p.push_back(cell.p);
+  }
   return data;
 }
 
@@ -535,9 +344,10 @@ Status HirschbergGca::restore_from(const CheckpointData& data,
                   " is beyond the schedule of n = " + std::to_string(n_));
   }
   gca::Engine<Cell>::Snapshot snap;
-  snap.cells.immutable.a = gca::BitPlane::pack(data.a);
-  snap.cells.current.d = data.d;
-  snap.cells.current.p = data.p;
+  snap.cells.resize(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    snap.cells[i] = Cell{data.a[i], data.d[i], data.p[i]};
+  }
   snap.generation = data.generation;
   engine_->restore(snap);
   next_iteration = data.iteration;
@@ -551,8 +361,7 @@ RunResult HirschbergGca::run(const RunOptions& options) {
                            .with_threads(options.threads)
                            .with_instrumentation(options.instrument)
                            .with_record_access(options.record_access)
-                           .with_sweep(options.sweep)
-                           .with_kernels(options.kernels));
+                           .with_sweep(options.sweep));
 
   if (n_ == 0) return result;
 

@@ -15,7 +15,6 @@
 // part of that rule, exactly as in the paper.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -25,12 +24,10 @@
 #include "common/status.hpp"
 #include "core/checkpoint.hpp"
 #include "core/generation.hpp"
-#include "gca/bitplane.hpp"
 #include "gca/cancel.hpp"
 #include "gca/engine.hpp"
 #include "gca/execution.hpp"
 #include "gca/field.hpp"
-#include "gca/worklist.hpp"
 #include "graph/graph.hpp"
 
 namespace gcalib::core {
@@ -46,88 +43,6 @@ struct Cell {
 
 /// The infinity sentinel of the min computations.
 inline constexpr std::uint32_t kInfData = std::numeric_limits<std::uint32_t>::max();
-
-}  // namespace gcalib::core
-
-namespace gcalib::gca {
-
-/// SoA layout for the Hirschberg cell (DESIGN.md §9/§13): the adjacency bit
-/// is written once at initialisation (and by fault injection through
-/// `Engine::set_state`), so only `d` and `p` are double-buffered.  The
-/// adjacency plane is *bit-packed* 64 cells per word (gca::BitPlane) — the
-/// paper's model stores exactly one bit there, and packing cuts the mask
-/// kernels' adjacency traffic 32x while the word-at-a-time kernel variants
-/// (gca/kernel_registry.hpp) test eight cells per shift.  `load` composes
-/// the bit back to the 0/1 word the Cell API always exposed, so mediated
-/// rules, fault injection (which flips the bit with mask 1) and the
-/// checkpoint format are unchanged.
-template <>
-struct SoaLayout<core::Cell> {
-  static constexpr bool kEnabled = true;
-
-  struct Immutable {
-    BitPlane a;
-  };
-  struct Mutable {
-    std::vector<std::uint32_t> d;
-    std::vector<std::uint32_t> p;
-  };
-
-  static void init(const std::vector<core::Cell>& cells, Immutable& immutable,
-                   Mutable& mutable_part) {
-    const std::size_t count = cells.size();
-    immutable.a.resize(count);
-    mutable_part.d.resize(count);
-    mutable_part.p.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (cells[i].a != 0) immutable.a.set(i, true);
-      mutable_part.d[i] = cells[i].d;
-      mutable_part.p[i] = cells[i].p;
-    }
-  }
-  static void resize(Mutable& mutable_part, std::size_t count) {
-    mutable_part.d.resize(count);
-    mutable_part.p.resize(count);
-  }
-  [[nodiscard]] static std::size_t size(const Mutable& mutable_part) {
-    return mutable_part.d.size();
-  }
-  [[nodiscard]] static core::Cell load(const Immutable& immutable,
-                                       const Mutable& mutable_part,
-                                       std::size_t i) {
-    return core::Cell{immutable.a.test(i) ? 1u : 0u, mutable_part.d[i],
-                      mutable_part.p[i]};
-  }
-  static void store(const Immutable& immutable, Mutable& mutable_part,
-                    std::size_t i, const core::Cell& value) {
-    GCALIB_ASSERT_MSG(value.a == (immutable.a.test(i) ? 1u : 0u),
-                      "rules must not modify the immutable adjacency bit");
-    mutable_part.d[i] = value.d;
-    mutable_part.p[i] = value.p;
-  }
-  static void store_host(Immutable& immutable, Mutable& mutable_part,
-                         std::size_t i, const core::Cell& value) {
-    immutable.a.set(i, value.a != 0);
-    mutable_part.d[i] = value.d;
-    mutable_part.p[i] = value.p;
-  }
-  static void copy(const Mutable& from, Mutable& to, std::size_t i) {
-    to.d[i] = from.d[i];
-    to.p[i] = from.p[i];
-  }
-  /// Contiguous bulk copy for the engine's complement-swap commit.
-  static void copy_span(const Mutable& from, Mutable& to, std::size_t begin,
-                        std::size_t end) {
-    const auto b = static_cast<std::ptrdiff_t>(begin);
-    const auto e = static_cast<std::ptrdiff_t>(end);
-    std::copy(from.d.begin() + b, from.d.begin() + e, to.d.begin() + b);
-    std::copy(from.p.begin() + b, from.p.begin() + e, to.p.begin() + b);
-  }
-};
-
-}  // namespace gcalib::gca
-
-namespace gcalib::core {
 
 /// Identifies one engine step within a run.
 struct StepId {
@@ -184,12 +99,6 @@ struct RunOptions {
   /// the active cells) or sweeps the whole field every generation (kDense:
   /// the verification mode — bit-identical states and logical stats).
   gca::SweepMode sweep = gca::SweepMode::kSparse;
-  /// Bulk-kernel variant the fast path dispatches
-  /// (gca/kernel_registry.hpp): kAuto resolves to the best the host
-  /// supports (AVX2 / NEON / scalar).  Only consulted when the fast
-  /// kernels are enabled at all (sparse sweep, no instrumentation); every
-  /// variant is bit-identical to the scalar reference.
-  gca::KernelVariant kernels = gca::KernelVariant::kAuto;
   /// Engine of the CSR solver (ignored by the dense cell-field machine):
   /// kAuto runs the one-lane link pass over the edges unless a round-loop
   /// feature (sparse hooks, monitors, certify, checkpoint_dir, recovery) is
@@ -361,9 +270,9 @@ class HirschbergGca {
 
   // --- durable checkpoints (core/checkpoint.hpp) ------------------------
 
-  /// The machine's full serialisable state: both SoA planes, the engine
-  /// generation counter, and `next_iteration` as the state-machine
-  /// position a resumed run enters at.
+  /// The machine's full serialisable state: the a, d and p planes of every
+  /// cell, the engine generation counter, and `next_iteration` as the
+  /// state-machine position a resumed run enters at.
   [[nodiscard]] CheckpointData checkpoint_data(unsigned next_iteration) const;
 
   /// Restores the machine from checkpoint data (the inverse of
@@ -380,25 +289,9 @@ class HirschbergGca {
   gca::GenerationStats step_with(Rule&& rule, const gca::ActiveRegion& region,
                                  Generation g, unsigned subgen);
 
-  /// True when generations may dispatch to the bulk SoA kernels
-  /// (gca/kernels.hpp) instead of the mediated uniform rule: sparse sweeps
-  /// with no instrumentation, no access recording and no read override
-  /// (the kernels bypass read mediation, so anything that observes
-  /// individual reads forces the rule path).
-  [[nodiscard]] bool fast_kernels_enabled() const;
-
-  /// Exact worklist of the row-min sub-generation `sub` (offset 2^sub) —
-  /// built lazily from a pooled scratch bitset, cached for the machine's
-  /// lifetime (the active set depends only on n and sub, never on data).
-  [[nodiscard]] const gca::Worklist& row_min_worklist(unsigned sub);
-  /// Exact worklist of the column-0 cells (pointer jump).
-  [[nodiscard]] const gca::Worklist& column_worklist();
-
   graph::NodeId n_;
   gca::FieldGeometry geometry_;
   std::unique_ptr<gca::Engine<Cell>> engine_;
-  std::vector<gca::Worklist> row_min_worklists_;
-  gca::Worklist column_worklist_;
 };
 
 /// One-call convenience: labels of `g` computed on the GCA.

@@ -385,14 +385,17 @@ class ResilienceState {
   std::string gskp_path;         ///< empty = no durable checkpoints
   std::uint64_t graph_hash = 0;  ///< binds GSKP artifacts to the graph
   std::vector<NodeId> seed;    ///< start labels of the attempt; empty = identity
-  std::vector<NodeId> anchor;  ///< last good labels (rollback target)
-  std::vector<NodeId> prev;    ///< end of previous round (monitor baseline)
+  /// Last good labels (rollback target); kept only while recovery is on.
+  std::vector<NodeId> anchor;
+  /// Labels at the end of the previous round: the monitors' baseline and
+  /// what a GSKP save writes; kept only while one of them reads it.
+  std::vector<NodeId> prev;
 
   template <typename Get>
   void start_attempt(const Get& get) {
-    prev.resize(n);
-    for (NodeId v = 0; v < n; ++v) prev[v] = get(v);
-    if (anchor.empty()) anchor = prev;  // the start state is a valid anchor
+    if (keeps_prev()) capture(prev, get);
+    // The start state is a valid anchor.
+    if (keeps_anchor() && anchor.empty()) capture(anchor, get);
   }
 
   template <typename Get, typename Set>
@@ -412,13 +415,13 @@ class ResilienceState {
       options->sparse_after_round(make_ctx(round, get, set));
     }
     if (options->sparse_monitors) monitors_or_throw(round, get);
-    for (NodeId v = 0; v < n; ++v) prev[v] = get(v);
+    if (keeps_prev()) capture(prev, get);
     if ((round + 1) % interval == 0) {
       // Anchor only after the monitors passed: rollback targets are states
       // the checks believed in.  (A corruption the monitors cannot see can
       // still poison an anchor — that is exactly what the ladder's restart
       // rung exists for.)
-      anchor = prev;
+      if (keeps_anchor()) capture(anchor, get);
       if (!gskp_path.empty()) save_gskp(round + 1);
     }
   }
@@ -435,6 +438,19 @@ class ResilienceState {
   }
 
  private:
+  [[nodiscard]] bool keeps_prev() const {
+    return options->sparse_monitors || !gskp_path.empty();
+  }
+  [[nodiscard]] bool keeps_anchor() const {
+    return options->recovery.enabled();
+  }
+
+  template <typename Get>
+  void capture(std::vector<NodeId>& labels, const Get& get) const {
+    labels.resize(n);
+    for (NodeId v = 0; v < n; ++v) labels[v] = get(v);
+  }
+
   template <typename Get, typename Set>
   [[nodiscard]] SparseRoundContext make_ctx(
       unsigned round, const Get& get, const Set& set) const {

@@ -23,14 +23,9 @@
 // and the logical (Table-1) statistics are bit-identical either way; only
 // the physical `cells_swept` counter and timings differ.
 //
-// Storage layout: by default cells live in one `std::vector<State>` (AoS).
-// A `State` type can opt into a struct-of-arrays layout by specialising
-// `SoaLayout<State>`, splitting the state into an immutable part (written
-// only by host-side `set_state`) and a double-buffered mutable part.  The
-// accessor API is unchanged except that `state(i)`/reads return the state
-// *by value* and `mutable_state` is unavailable (use `set_state`).  SoA
-// engines additionally support `step_bulk`: an un-mediated generation whose
-// kernel writes the next-state arrays directly (gca/kernels.hpp).
+// Storage: the cells live in two `std::vector<State>` buffers (current and
+// next generation); every generation runs the rule through the mediated
+// `Reader`, so there is one sweep path and one layout.
 //
 // Execution is configured through `EngineOptions` (gca/execution.hpp):
 // one thread sweeps on the caller, more sweep on a persistent shared
@@ -46,9 +41,7 @@
 //  * observers — callbacks invoked after every completed step, with the
 //    post-step states visible (invariant monitors register here);
 //  * snapshot()/restore() — copy-out/copy-in of the full cell state for
-//    checkpoint/rollback recovery (SoA engines snapshot the SoA buffers,
-//    immutable part included, so a bit flip injected into the immutable
-//    register is also rolled back);
+//    checkpoint/rollback recovery;
 //  * a read override — an interposer consulted on every mediated global
 //    read, which models faulty reads (dropped or misrouted accesses)
 //    without touching the rules;
@@ -73,7 +66,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -83,7 +75,6 @@
 #include "gca/instrumentation.hpp"
 #include "gca/metrics.hpp"
 #include "gca/thread_pool.hpp"
-#include "gca/worklist.hpp"
 
 namespace gcalib::gca {
 
@@ -95,184 +86,14 @@ struct AccessEdge {
   friend auto operator<=>(const AccessEdge&, const AccessEdge&) = default;
 };
 
-/// Customisation point: opt a `State` type into the struct-of-arrays field
-/// layout.  The primary template keeps the array-of-structs vector; a
-/// specialisation with `kEnabled = true` must provide
-///
-///   struct Immutable;  // arrays written only by host-side set_state
-///   struct Mutable;    // arrays double-buffered across generations
-///   static void init(const std::vector<State>&, Immutable&, Mutable&);
-///   static void resize(Mutable&, std::size_t);
-///   static std::size_t size(const Mutable&);
-///   static State load(const Immutable&, const Mutable&, std::size_t);
-///   static void store(const Immutable&, Mutable&, std::size_t,
-///                     const State&);   // mutable part only; asserts the
-///                                      // immutable part was not changed
-///   static void store_host(Immutable&, Mutable&, std::size_t,
-///                          const State&);  // all registers (host mutation)
-///   static void copy(const Mutable& from, Mutable& to, std::size_t);
-///
-/// Optionally, a layout may provide
-///
-///   static void copy_span(const Mutable& from, Mutable& to,
-///                         std::size_t begin, std::size_t end);
-///
-/// — a contiguous bulk copy the complement-swap commit uses instead of
-/// per-index `copy` calls (detected with `requires`; absent layouts fall
-/// back to the per-index loop).
-///
-/// (core/hirschberg_gca.hpp specialises this for core::Cell: `a` is
-/// immutable after initialisation, `d`/`p` are double-buffered.)
-template <typename State>
-struct SoaLayout {
-  static constexpr bool kEnabled = false;
-};
-
-namespace detail {
-
-/// Cell storage behind the engine: AoS primary, SoA specialisation.  Both
-/// expose the same interface; `ReadResult` is `const State&` for AoS and
-/// `State` (by value, composed from the arrays) for SoA.
-template <typename State, bool kSoa>
-class FieldStore;
-
-template <typename State>
-class FieldStore<State, false> {
- public:
-  using ReadResult = const State&;
-  using SnapshotData = std::vector<State>;
-
-  explicit FieldStore(std::vector<State> initial)
-      : cells_(std::move(initial)), next_(cells_.size()) {}
-
-  [[nodiscard]] std::size_t size() const { return cells_.size(); }
-  [[nodiscard]] const State& read(std::size_t i) const { return cells_[i]; }
-  [[nodiscard]] const std::vector<State>& states() const { return cells_; }
-  [[nodiscard]] State& mutable_ref(std::size_t i) { return cells_[i]; }
-  void set_state(std::size_t i, const State& value) { cells_[i] = value; }
-  void write_next(std::size_t i, State value) { next_[i] = std::move(value); }
-  void carry_next(std::size_t i) { next_[i] = cells_[i]; }
-  void commit_full() { cells_.swap(next_); }
-  void commit_index(std::size_t i) { cells_[i] = next_[i]; }
-  /// Complement-swap commit for row-contiguous partial regions: copies the
-  /// untouched spans [0, head_end) and [tail_begin, size) current -> next,
-  /// then swaps the buffers (see Engine::commit).
-  void commit_span_swap(std::size_t head_end, std::size_t tail_begin) {
-    std::copy_n(cells_.begin(), head_end, next_.begin());
-    std::copy(cells_.begin() + static_cast<std::ptrdiff_t>(tail_begin),
-              cells_.end(),
-              next_.begin() + static_cast<std::ptrdiff_t>(tail_begin));
-    cells_.swap(next_);
-  }
-  [[nodiscard]] SnapshotData snapshot() const { return cells_; }
-  void restore(const SnapshotData& data) { cells_ = data; }
-  [[nodiscard]] static std::size_t snapshot_size(const SnapshotData& data) {
-    return data.size();
-  }
-
- private:
-  std::vector<State> cells_;
-  std::vector<State> next_;
-};
-
-template <typename State>
-class FieldStore<State, true> {
-  using Layout = SoaLayout<State>;
-
- public:
-  using ReadResult = State;
-  struct SnapshotData {
-    typename Layout::Immutable immutable;
-    typename Layout::Mutable current;
-  };
-
-  explicit FieldStore(std::vector<State> initial) : size_(initial.size()) {
-    Layout::init(initial, immutable_, current_);
-    Layout::resize(next_, size_);
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] State read(std::size_t i) const {
-    return Layout::load(immutable_, current_, i);
-  }
-  [[nodiscard]] std::vector<State> states() const {
-    std::vector<State> out;
-    out.reserve(size_);
-    for (std::size_t i = 0; i < size_; ++i) out.push_back(read(i));
-    return out;
-  }
-  void set_state(std::size_t i, const State& value) {
-    Layout::store_host(immutable_, current_, i, value);
-  }
-  void write_next(std::size_t i, const State& value) {
-    Layout::store(immutable_, next_, i, value);
-  }
-  void carry_next(std::size_t i) { Layout::copy(current_, next_, i); }
-  void commit_full() { std::swap(current_, next_); }
-  void commit_index(std::size_t i) { Layout::copy(next_, current_, i); }
-  /// Complement-swap commit (see the AoS store); uses the layout's
-  /// contiguous `copy_span` when it provides one.
-  void commit_span_swap(std::size_t head_end, std::size_t tail_begin) {
-    if constexpr (requires(const typename Layout::Mutable& from,
-                           typename Layout::Mutable& to) {
-                    Layout::copy_span(from, to, std::size_t{}, std::size_t{});
-                  }) {
-      Layout::copy_span(current_, next_, 0, head_end);
-      Layout::copy_span(current_, next_, tail_begin, size_);
-    } else {
-      for (std::size_t i = 0; i < head_end; ++i) {
-        Layout::copy(current_, next_, i);
-      }
-      for (std::size_t i = tail_begin; i < size_; ++i) {
-        Layout::copy(current_, next_, i);
-      }
-    }
-    std::swap(current_, next_);
-  }
-  [[nodiscard]] SnapshotData snapshot() const {
-    return SnapshotData{immutable_, current_};
-  }
-  void restore(const SnapshotData& data) {
-    immutable_ = data.immutable;
-    current_ = data.current;
-  }
-  [[nodiscard]] static std::size_t snapshot_size(const SnapshotData& data) {
-    return Layout::size(data.current);
-  }
-
-  // Raw array access for bulk kernels (step_bulk).
-  [[nodiscard]] const typename Layout::Immutable& immutable() const {
-    return immutable_;
-  }
-  [[nodiscard]] const typename Layout::Mutable& current() const {
-    return current_;
-  }
-  [[nodiscard]] typename Layout::Mutable& next() { return next_; }
-
- private:
-  std::size_t size_;
-  typename Layout::Immutable immutable_;
-  typename Layout::Mutable current_;
-  typename Layout::Mutable next_;
-};
-
-}  // namespace detail
-
 template <typename State>
 class Engine {
-  static constexpr bool kSoa = SoaLayout<State>::kEnabled;
-  using Store = detail::FieldStore<State, kSoa>;
-
  public:
-  /// What a mediated read (and `state(i)`) returns: a reference into the
-  /// field for AoS states, a by-value composite for SoA states.
-  using ReadResult = typename Store::ReadResult;
-
   /// Primary constructor: engine over the given initial cell states,
   /// configured by a validated `EngineOptions` aggregate.
   Engine(std::vector<State> initial, EngineOptions options)
-      : store_(std::move(initial)) {
-    GCALIB_EXPECTS_MSG(store_.size() > 0, "engine requires at least one cell");
+      : cells_(std::move(initial)), next_(cells_.size()) {
+    GCALIB_EXPECTS_MSG(!cells_.empty(), "engine requires at least one cell");
     set_options(options);
   }
 
@@ -281,7 +102,7 @@ class Engine {
   explicit Engine(std::vector<State> initial)
       : Engine(std::move(initial), EngineOptions{}) {}
 
-  [[nodiscard]] std::size_t size() const { return store_.size(); }
+  [[nodiscard]] std::size_t size() const { return cells_.size(); }
   [[nodiscard]] std::size_t hands() const { return options_.hands; }
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
@@ -297,33 +118,22 @@ class Engine {
     acquire_pool();
   }
 
-  [[nodiscard]] ReadResult state(std::size_t i) const {
-    GCALIB_EXPECTS(i < store_.size());
-    return store_.read(i);
+  [[nodiscard]] const State& state(std::size_t i) const {
+    GCALIB_EXPECTS(i < cells_.size());
+    return cells_[i];
   }
 
-  /// All cell states.  A reference to the backing vector for AoS engines;
-  /// a freshly composed vector (by value) for SoA engines — either way the
-  /// result compares with `==` against another engine's states.
-  [[nodiscard]] decltype(auto) states() const { return store_.states(); }
+  /// All cell states of the current generation.
+  [[nodiscard]] const std::vector<State>& states() const { return cells_; }
 
   /// Host-side mutation (initialisation only; not part of the GCA model).
-  /// AoS engines only — an SoA state has no single storage location to
-  /// reference.  Use `set_state` for layout-agnostic host writes.
-  [[nodiscard]] State& mutable_state(std::size_t i)
-    requires(!kSoa)
-  {
-    GCALIB_EXPECTS(i < store_.size());
-    return store_.mutable_ref(i);
+  [[nodiscard]] State& mutable_state(std::size_t i) {
+    GCALIB_EXPECTS(i < cells_.size());
+    return cells_[i];
   }
 
-  /// Host-side write of a full cell state (works for both layouts; on SoA
-  /// engines this is the only way to change the immutable registers, which
-  /// is exactly what fault injection needs).
-  void set_state(std::size_t i, const State& value) {
-    GCALIB_EXPECTS(i < store_.size());
-    store_.set_state(i, value);
-  }
+  /// Host-side write of a full cell state (fault injection).
+  void set_state(std::size_t i, const State& value) { mutable_state(i) = value; }
 
   [[nodiscard]] bool instrumentation() const { return options_.instrumentation; }
 
@@ -432,24 +242,22 @@ class Engine {
     return count;
   }
 
-  /// Full copy of the mutable machine state, sufficient to re-execute from
-  /// this point (instrumentation history is append-only and not part of it).
-  /// For SoA engines `cells` holds the SoA buffers — immutable registers
-  /// included, so restore() also rolls back host-injected corruption.
+  /// Full copy of the machine state, sufficient to re-execute from this
+  /// point (instrumentation history is append-only and not part of it).
   struct Snapshot {
-    typename Store::SnapshotData cells;
+    std::vector<State> cells;
     std::uint64_t generation = 0;
   };
 
   [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{store_.snapshot(), generation_};
+    return Snapshot{cells_, generation_};
   }
 
   /// Rolls the engine back to a snapshot taken on this engine (same field).
   void restore(const Snapshot& snap) {
-    GCALIB_EXPECTS_MSG(Store::snapshot_size(snap.cells) == store_.size(),
+    GCALIB_EXPECTS_MSG(snap.cells.size() == cells_.size(),
                        "snapshot does not match this engine's field");
-    store_.restore(snap.cells);
+    cells_ = snap.cells;
     generation_ = snap.generation;
   }
 
@@ -491,12 +299,11 @@ class Engine {
   /// Mediates global reads for one cell during one generation.
   class Reader {
    public:
-    /// Returns the state of `target` as of the *previous* generation.
-    /// For AoS engines the reference stays valid until this Reader's next
-    /// read (an override lands in a slot inside the Reader); SoA engines
-    /// return by value.
-    ReadResult operator()(std::size_t target) {
-      GCALIB_EXPECTS(target < engine_.store_.size());
+    /// Returns the state of `target` as of the *previous* generation.  The
+    /// reference stays valid until this Reader's next read (an override
+    /// lands in a slot inside the Reader).
+    const State& operator()(std::size_t target) {
+      GCALIB_EXPECTS(target < engine_.cells_.size());
       GCALIB_EXPECTS_MSG(reads_ < engine_.options_.hands,
                          "cell exceeded its k-handed read budget");
       ++reads_;
@@ -505,15 +312,11 @@ class Engine {
       if (engine_.read_override_) {
         if (std::optional<State> faulty =
                 engine_.read_override_(self_, target)) {
-          if constexpr (std::is_reference_v<ReadResult>) {
-            override_slot_ = *std::move(faulty);
-            return *override_slot_;
-          } else {
-            return *std::move(faulty);
-          }
+          override_slot_ = *std::move(faulty);
+          return *override_slot_;
         }
       }
-      return engine_.store_.read(target);
+      return engine_.cells_[target];
     }
 
     /// Reads performed so far by this cell in this generation.
@@ -530,7 +333,7 @@ class Engine {
     std::size_t reads_ = 0;
     std::vector<std::size_t>* counts_;
     std::vector<AccessEdge>* edges_;
-    std::optional<State> override_slot_;  ///< backs overridden AoS reads
+    std::optional<State> override_slot_;  ///< backs overridden reads
   };
 
   /// Executes one synchronous generation over the whole field.
@@ -538,7 +341,7 @@ class Engine {
   /// state and marks the cell inactive.
   template <typename Rule>
   GenerationStats step(Rule&& rule, std::string label = {}) {
-    return step(std::forward<Rule>(rule), ActiveRegion::full(store_.size()),
+    return step(std::forward<Rule>(rule), ActiveRegion::full(cells_.size()),
                 std::move(label));
   }
 
@@ -554,94 +357,8 @@ class Engine {
     validate_region(region);
     const bool sparse = options_.sweep == SweepMode::kSparse;
     return run_step(rule,
-                    sparse ? region : ActiveRegion::full(store_.size()),
+                    sparse ? region : ActiveRegion::full(cells_.size()),
                     std::move(label));
-  }
-
-  // --- bulk (kernel) steps — SoA engines only ---------------------------
-
-  /// Raw SoA arrays for bulk kernels: the immutable registers, the current
-  /// generation (read-only during a step) and the next-generation buffers
-  /// (`SoaLayout<State>::Immutable` / `::Mutable`).
-  [[nodiscard]] const auto& soa_immutable() const
-    requires kSoa
-  {
-    return store_.immutable();
-  }
-  [[nodiscard]] const auto& soa_current() const
-    requires kSoa
-  {
-    return store_.current();
-  }
-  [[nodiscard]] auto& soa_next()
-    requires kSoa
-  {
-    return store_.next();
-  }
-
-  /// Executes one generation as a bulk kernel: `bulk(k_begin, k_end)` must
-  /// write the next state of every region cell at enumeration positions
-  /// [k_begin, k_end) straight into `soa_next()`, reading `soa_current()` /
-  /// `soa_immutable()`.  The kernel bypasses read mediation entirely, so
-  /// bulk steps are rejected while instrumentation, access recording or a
-  /// read override is active — the caller falls back to the equivalent
-  /// mediated rule in those configurations.  Every region cell counts as
-  /// active (bulk kernels implement generations whose region is exactly
-  /// the active set).
-  template <typename Bulk>
-  GenerationStats step_bulk(const ActiveRegion& region, Bulk&& bulk,
-                            std::string label = {})
-    requires kSoa
-  {
-    validate_region(region);
-    const std::size_t work = region.count();
-    return bulk_step_impl(
-        work, work, std::forward<Bulk>(bulk), std::move(label),
-        [this, &region, work] { commit(region, work); });
-  }
-
-  /// Span form of a bulk step: physically sweeps every cell of `region`
-  /// (the kernel must *carry* d/p through at inactive cells) but reports
-  /// `logical_active` as the generation's active-cell count, keeping the
-  /// Table-1 accounting identical to the strided window it replaces.  Used
-  /// by the SIMD row-min span kernels, where a contiguous sweep plus the
-  /// complement-swap commit beats a strided enumeration.
-  template <typename Bulk>
-  GenerationStats step_bulk(const ActiveRegion& region,
-                            std::size_t logical_active, Bulk&& bulk,
-                            std::string label = {})
-    requires kSoa
-  {
-    validate_region(region);
-    const std::size_t work = region.count();
-    return bulk_step_impl(
-        work, logical_active, std::forward<Bulk>(bulk), std::move(label),
-        [this, &region, work] { commit(region, work); });
-  }
-
-  /// Worklist form of a bulk step: the kernel receives positions
-  /// [k_begin, k_end) into the ascending index list (gca/worklist.hpp) and
-  /// must write exactly those cells; the commit publishes exactly those
-  /// indices.  The list's ascending invariant is enforced at build time,
-  /// so only the largest index needs a bounds check here.  Chunking the
-  /// position range partitions the same ordered sequence on every backend
-  /// — bit-identical at any thread count.
-  template <typename Bulk>
-  GenerationStats step_bulk(const Worklist& list, Bulk&& bulk,
-                            std::string label = {})
-    requires kSoa
-  {
-    if (!list.empty()) {
-      GCALIB_EXPECTS_MSG(list.max_index() < store_.size(),
-                         "worklist exceeds the field");
-    }
-    const std::size_t work = list.size();
-    return bulk_step_impl(work, work, std::forward<Bulk>(bulk),
-                          std::move(label), [this, &list] {
-                            for (const std::uint32_t i : list.indices()) {
-                              store_.commit_index(i);
-                            }
-                          });
   }
 
   [[nodiscard]] const std::vector<GenerationStats>& history() const {
@@ -691,71 +408,8 @@ class Engine {
     const std::size_t last =
         (region.row_end - 1) * region.row_stride + region.col_begin +
         (region.cols_per_row() - 1) * region.col_step;
-    GCALIB_EXPECTS_MSG(last < store_.size(),
+    GCALIB_EXPECTS_MSG(last < cells_.size(),
                        "active region exceeds the field");
-  }
-
-  /// Shared body of the three step_bulk forms: runs `bulk` over
-  /// [0, work) positions (chunked across lanes / stop polls), then invokes
-  /// `commit_fn` to publish and advances the generation.  `logical_active`
-  /// is what the stats report as active (== work except for span sweeps).
-  template <typename Bulk, typename CommitFn>
-  GenerationStats bulk_step_impl(std::size_t work, std::size_t logical_active,
-                                 Bulk&& bulk, std::string label,
-                                 CommitFn&& commit_fn)
-    requires kSoa
-  {
-    GCALIB_EXPECTS_MSG(!notifying_,
-                       "Engine::step_bulk must not be called from an observer "
-                       "or metrics-sink callback");
-    GCALIB_EXPECTS_MSG(
-        !options_.instrumentation && !options_.record_access &&
-            !read_override_,
-        "bulk steps bypass read mediation; disable instrumentation, access "
-        "recording and read overrides or use the mediated rule");
-    if (has_stop_signal()) poll_stop();
-    GenerationStats stats;
-    stats.generation = generation_;
-    stats.label = std::move(label);
-    stats.cell_count = store_.size();
-    stats.cells_swept = work;
-    stats.active_cells = logical_active;
-    last_active_.clear();
-    last_access_.clear();
-
-    const bool timed = !sinks_.empty();
-    const std::uint64_t sweep_start = timed ? now_ns() : 0;
-
-    const unsigned t = options_.threads;
-    if (!options_.parallel() || work < 2 * t) {
-      if (has_stop_signal()) {
-        for (std::size_t k = 0; k < work; k += kStopPollStride) {
-          poll_stop();
-          bulk(k, std::min(work, k + kStopPollStride));
-        }
-      } else {
-        bulk(std::size_t{0}, work);
-      }
-    } else {
-      run_chunks(work, timed,
-                 [&bulk](unsigned, std::size_t begin, std::size_t end) {
-                   bulk(begin, end);
-                 });
-      if (timed) {
-        stats.lane_times.assign(scratch_lanes_.begin(),
-                                scratch_lanes_.begin() + t);
-      }
-    }
-
-    if (timed) {
-      stats.start_ns = sweep_start;
-      stats.duration_ns = now_ns() - sweep_start;
-    }
-
-    commit_fn();
-    ++generation_;
-    notify(stats);
-    return stats;
   }
 
   template <typename Rule>
@@ -768,12 +422,12 @@ class Engine {
     GenerationStats stats;
     stats.generation = generation_;
     stats.label = std::move(label);
-    stats.cell_count = store_.size();
+    stats.cell_count = cells_.size();
     const std::size_t work = region.count();
     stats.cells_swept = work;
 
     if (options_.instrumentation) {
-      last_active_.assign(store_.size(), 0);
+      last_active_.assign(cells_.size(), 0);
     } else {
       last_active_.clear();
     }
@@ -786,7 +440,7 @@ class Engine {
 
     const unsigned t = options_.threads;
     if (!options_.parallel() || work < 2 * t) {
-      if (options_.instrumentation) scratch_count(0).assign(store_.size(), 0);
+      if (options_.instrumentation) scratch_count(0).assign(cells_.size(), 0);
       std::vector<std::size_t>* counts =
           options_.instrumentation ? &scratch_count(0) : nullptr;
       std::vector<AccessEdge>* edges =
@@ -833,27 +487,28 @@ class Engine {
   /// square inside the (n+1) x n field) take a third path when it is
   /// cheaper: copy the *complement* spans current -> next and swap — the
   /// commit is then O(inactive cells) of contiguous copies instead of
-  /// O(active cells) per-index copies.  Valid for both mediated and bulk
-  /// steps: every region cell of the next buffer was written by the sweep
-  /// (inactive rule invocations carry, bulk kernels write every position),
-  /// so after the copy the next buffer is complete and swapping publishes
+  /// O(active cells) per-index copies.  Every region cell of the next
+  /// buffer was written by the sweep (inactive rule invocations carry), so
+  /// after the copy the next buffer is complete and swapping publishes
   /// exactly the same field as the per-index path.
   void commit(const ActiveRegion& region, std::size_t work) {
-    if (work == store_.size()) {
-      store_.commit_full();
+    if (work == cells_.size()) {
+      cells_.swap(next_);
       return;
     }
     if (region.col_begin == 0 && region.col_step == 1 &&
         region.col_end == region.row_stride && work > 0) {
       const std::size_t head_end = region.row_begin * region.row_stride;
       const std::size_t tail_begin = region.row_end * region.row_stride;
-      if (head_end + (store_.size() - tail_begin) < work) {
-        store_.commit_span_swap(head_end, tail_begin);
+      if (head_end + (cells_.size() - tail_begin) < work) {
+        std::copy_n(cells_.begin(), head_end, next_.begin());
+        const auto tail = static_cast<std::ptrdiff_t>(tail_begin);
+        std::copy(cells_.begin() + tail, cells_.end(), next_.begin() + tail);
+        cells_.swap(next_);
         return;
       }
     }
-    region.for_each(0, work,
-                    [this](std::size_t i) { store_.commit_index(i); });
+    region.for_each(0, work, [this](std::size_t i) { cells_[i] = next_[i]; });
   }
 
   /// Invokes observers, then sinks, with deferred add/remove semantics
@@ -925,11 +580,11 @@ class Engine {
       Reader reader(*this, i, counts, edges);
       std::optional<State> result = rule(i, reader);
       if (result.has_value()) {
-        store_.write_next(i, *std::move(result));
+        next_[i] = *std::move(result);
         if (mask) last_active_[i] = 1;
         ++active;
       } else {
-        store_.carry_next(i);
+        next_[i] = cells_[i];
       }
     });
   }
@@ -980,7 +635,7 @@ class Engine {
     scratch_actives_.assign(t, 0);
     if (counting) {
       for (unsigned w = 0; w < t; ++w) {
-        scratch_count(w).assign(store_.size(), 0);
+        scratch_count(w).assign(cells_.size(), 0);
       }
     }
     run_chunks(work, timed,
@@ -1017,7 +672,8 @@ class Engine {
     }
   }
 
-  Store store_;
+  std::vector<State> cells_;  ///< the current generation
+  std::vector<State> next_;   ///< the generation being swept
   EngineOptions options_;
   std::uint64_t generation_ = 0;
   std::vector<AccessEdge> last_access_;

@@ -52,10 +52,6 @@ void EngineOptions::validate() const {
   GCALIB_EXPECTS_MSG(!(record_access && parallel()),
                      "engine options: access-edge recording requires a "
                      "sequential sweep (threads == 1)");
-  GCALIB_EXPECTS_MSG(kernel_variant_supported(kernels),
-                     std::string("engine options: kernel variant '") +
-                         to_string(kernels) +
-                         "' is not supported on this host");
 }
 
 EngineOptions options_from_flags(const cli::EngineFlags& flags) {
@@ -65,8 +61,7 @@ EngineOptions options_from_flags(const cli::EngineFlags& flags) {
           .with_instrumentation(flags.instrumentation)
           .with_record_access(flags.record_access)
           .with_sweep(parse_sweep_mode(flags.sweep))
-          .with_sparse_mode(parse_sparse_mode(flags.sparse_mode))
-          .with_kernels(parse_kernel_variant(flags.kernels));
+          .with_sparse_mode(parse_sparse_mode(flags.sparse_mode));
   options.validate();
   return options;
 }

@@ -22,8 +22,6 @@
 #include <cstddef>
 #include <string>
 
-#include "gca/kernel_registry.hpp"
-
 namespace gcalib::cli {
 struct EngineFlags;  // common/cli.hpp
 }  // namespace gcalib::cli
@@ -55,8 +53,8 @@ enum class SweepMode {
 ///
 ///  * kSync — the double-buffered synchronous hook/jump sweep: every sweep
 ///    is a pure function of the previous label buffer, so the labeling and
-///    the per-sweep statistics are bit-identical across all execution
-///    policies and thread counts.  The golden reference.
+///    the per-sweep statistics are bit-identical at every thread count.
+///    The golden reference.
 ///  * kAuto — the one-lane link-by-min union-find pass over the edges,
 ///    unless a round-loop feature (the sparse resilience hooks, monitors,
 ///    certificate, checkpoints, recovery) asks for the sync loop.  Same
@@ -163,12 +161,6 @@ struct EngineOptions {
   /// here so one validated options object configures either engine — the
   /// `Engine` template ignores it.
   SparseMode sparse_mode = SparseMode::kAuto;
-  /// Which bulk-kernel table the dense fast path dispatches
-  /// (gca/kernel_registry.hpp).  kAuto picks the best variant the host
-  /// supports; a concrete variant the host cannot execute is rejected by
-  /// `validate()`.  Mediated (instrumented) sweeps ignore this — they are
-  /// the golden reference the variants are checked against.
-  KernelVariant kernels = KernelVariant::kAuto;
 
   EngineOptions& with_hands(std::size_t value) {
     hands = value;
@@ -194,10 +186,6 @@ struct EngineOptions {
     sparse_mode = value;
     return *this;
   }
-  EngineOptions& with_kernels(KernelVariant value) {
-    kernels = value;
-    return *this;
-  }
 
   /// True iff the sweep actually runs on more than one thread.
   [[nodiscard]] bool parallel() const { return threads > 1; }
@@ -207,9 +195,8 @@ struct EngineOptions {
 };
 
 /// Builds a *validated* EngineOptions from the shared CLI engine flags
-/// (common/cli.hpp carries the sweep / sparse mode / kernels as their
-/// spelled names so common/ stays below gca/; this is the one conversion
-/// point).
+/// (common/cli.hpp carries the sweep and sparse mode as their spelled
+/// names so common/ stays below gca/; this is the one conversion point).
 /// Throws ContractViolation on inconsistent combinations — e.g.
 /// `--record-access` with `--threads 4` — so the tools can reject them at
 /// parse time (exit 2) instead of asserting mid-run.

@@ -167,243 +167,4 @@ ListRankResult list_rank(const std::vector<std::size_t>& next) {
   return result;
 }
 
-// --- Hirschberg bulk kernels (SoA fast path) ----------------------------
-
-void hirschberg_init(std::size_t n, std::uint32_t* d_out, std::uint32_t* p_out,
-                     std::size_t k_begin, std::size_t k_end) {
-  std::size_t i = k_begin;
-  std::size_t row = n > 0 ? i / n : 0;
-  std::size_t col = n > 0 ? i % n : 0;
-  while (i < k_end) {
-    const auto row32 = static_cast<std::uint32_t>(row);
-    const std::size_t row_end = std::min(k_end, i + (n - col));
-    for (; i < row_end; ++i) {
-      d_out[i] = row32;
-      p_out[i] = static_cast<std::uint32_t>(i);
-    }
-    ++row;
-    col = 0;
-  }
-}
-
-void hirschberg_column_broadcast(std::size_t n, const std::uint32_t* d,
-                                 std::uint32_t* d_out, std::uint32_t* p_out,
-                                 std::size_t k_begin, std::size_t k_end) {
-  std::size_t i = k_begin;
-  std::size_t col = n > 0 ? i % n : 0;
-  while (i < k_end) {
-    // One row (or the tail of one): per cell a single strided gather.
-    const std::size_t row_end = std::min(k_end, i + (n - col));
-    for (; i < row_end; ++i, ++col) {
-      const std::size_t p = col * n;
-      d_out[i] = d[p];
-      p_out[i] = static_cast<std::uint32_t>(p);
-    }
-    col = 0;
-  }
-}
-
-void hirschberg_mask_neighbors(std::size_t n, std::uint32_t inf,
-                               const std::uint64_t* a_words,
-                               const std::uint32_t* d, std::uint32_t* d_out,
-                               std::uint32_t* p_out, std::size_t k_begin,
-                               std::size_t k_end) {
-  const std::size_t nn = n * n;
-  std::size_t i = k_begin;
-  std::size_t row = n > 0 ? i / n : 0;
-  std::size_t col = n > 0 ? i % n : 0;
-  while (i < k_end) {
-    const std::size_t p = nn + row;
-    const std::uint32_t global = d[p];  // D_N[row]: hoisted, one read per row
-    const auto p32 = static_cast<std::uint32_t>(p);
-    const std::size_t row_end = std::min(k_end, i + (n - col));
-    for (; i < row_end; ++i) {
-      const std::uint32_t self = d[i];
-      const bool adjacent = ((a_words[i >> 6] >> (i & 63)) & 1u) != 0;
-      d_out[i] = (self != global) & adjacent ? self : inf;
-      p_out[i] = p32;
-    }
-    ++row;
-    col = 0;
-  }
-}
-
-void hirschberg_mask_members(std::size_t n, std::uint32_t inf,
-                             const std::uint32_t* d, std::uint32_t* d_out,
-                             std::uint32_t* p_out, std::size_t k_begin,
-                             std::size_t k_end) {
-  const std::size_t nn = n * n;
-  std::size_t i = k_begin;
-  std::size_t row = n > 0 ? i / n : 0;
-  std::size_t col = n > 0 ? i % n : 0;
-  while (i < k_end) {
-    const auto row32 = static_cast<std::uint32_t>(row);
-    const std::size_t row_end = std::min(k_end, i + (n - col));
-    for (; i < row_end; ++i, ++col) {
-      const std::uint32_t global = d[nn + col];  // D_N[col] — contiguous
-      const std::uint32_t self = d[i];
-      d_out[i] = (global == row32) & (self != row32) ? self : inf;
-      p_out[i] = static_cast<std::uint32_t>(nn + col);
-    }
-    ++row;
-    col = 0;
-  }
-}
-
-void hirschberg_row_min(std::size_t n, std::size_t offset,
-                        const std::uint32_t* d, std::uint32_t* d_out,
-                        std::uint32_t* p_out, std::size_t k_begin,
-                        std::size_t k_end) {
-  const std::size_t step = 2 * offset;
-  const std::size_t per_row =
-      offset < n ? (n - offset + step - 1) / step : 0;
-  if (per_row == 0 || k_begin >= k_end) return;
-  std::size_t row = k_begin / per_row;
-  std::size_t c = k_begin % per_row;
-  std::size_t i = row * n + c * step;
-  for (std::size_t k = k_begin; k < k_end; ++k) {
-    const std::size_t p = i + offset;
-    const std::uint32_t lo = d[i];
-    const std::uint32_t hi = d[p];
-    d_out[i] = hi < lo ? hi : lo;
-    p_out[i] = static_cast<std::uint32_t>(p);
-    if (++c == per_row) {
-      c = 0;
-      ++row;
-      i = row * n;
-    } else {
-      i += step;
-    }
-  }
-}
-
-void hirschberg_row_min_span(std::size_t n, std::size_t offset,
-                             const std::uint32_t* d, const std::uint32_t* p,
-                             std::uint32_t* d_out, std::uint32_t* p_out,
-                             std::size_t k_begin, std::size_t k_end) {
-  const std::size_t step = 2 * offset;
-  std::size_t i = k_begin;
-  std::size_t col = n > 0 ? i % n : 0;
-  while (i < k_end) {
-    const std::size_t row_end = std::min(k_end, i + (n - col));
-    for (; i < row_end; ++i, ++col) {
-      if (col % step == 0 && col + offset < n) {
-        const std::size_t q = i + offset;
-        const std::uint32_t lo = d[i];
-        const std::uint32_t hi = d[q];
-        d_out[i] = hi < lo ? hi : lo;
-        p_out[i] = static_cast<std::uint32_t>(q);
-      } else {
-        d_out[i] = d[i];  // inactive: carry d/p through unchanged
-        p_out[i] = p[i];
-      }
-    }
-    col = 0;
-  }
-}
-
-void hirschberg_row_min_indexed(std::size_t offset,
-                                const std::uint32_t* indices,
-                                const std::uint32_t* d, std::uint32_t* d_out,
-                                std::uint32_t* p_out, std::size_t k_begin,
-                                std::size_t k_end) {
-  for (std::size_t k = k_begin; k < k_end; ++k) {
-    const std::size_t i = indices[k];
-    const std::size_t q = i + offset;
-    const std::uint32_t lo = d[i];
-    const std::uint32_t hi = d[q];
-    d_out[i] = hi < lo ? hi : lo;
-    p_out[i] = static_cast<std::uint32_t>(q);
-  }
-}
-
-void hirschberg_adopt(std::size_t n, const std::uint32_t* d,
-                      std::uint32_t* d_out, std::uint32_t* p_out,
-                      std::size_t k_begin, std::size_t k_end) {
-  const std::size_t nn = n * n;
-  // Square rows: splat the row head d[row * n] across the row.
-  std::size_t i = k_begin;
-  std::size_t row = n > 0 ? i / n : 0;
-  std::size_t col = n > 0 ? i % n : 0;
-  while (i < std::min(k_end, nn)) {
-    const std::size_t p = row * n;
-    const std::uint32_t head = d[p];
-    const auto p32 = static_cast<std::uint32_t>(p);
-    const std::size_t row_end = std::min(std::min(k_end, nn), i + (n - col));
-    for (; i < row_end; ++i) {
-      d_out[i] = head;
-      p_out[i] = p32;
-    }
-    ++row;
-    col = 0;
-  }
-  // Bottom row: gather the transposed T — D_N[i] <- d[i * n].
-  for (i = std::max(k_begin, nn); i < k_end; ++i) {
-    const std::size_t p = (i - nn) * n;
-    d_out[i] = d[p];
-    p_out[i] = static_cast<std::uint32_t>(p);
-  }
-}
-
-void hirschberg_pointer_jump(std::size_t n, std::size_t field_cells,
-                             const std::uint32_t* d, std::uint32_t* d_out,
-                             std::uint32_t* p_out, std::size_t k_begin,
-                             std::size_t k_end) {
-  for (std::size_t row = k_begin; row < k_end; ++row) {
-    const std::size_t i = row * n;
-    const std::size_t t = std::size_t{d[i]} * n;
-    GCALIB_EXPECTS_MSG(t < field_cells,
-                       "pointer jump target outside the field");
-    d_out[i] = d[t];
-    p_out[i] = static_cast<std::uint32_t>(t);
-  }
-}
-
-void hirschberg_pointer_jump_indexed(std::size_t n, std::size_t field_cells,
-                                     const std::uint32_t* indices,
-                                     const std::uint32_t* d,
-                                     std::uint32_t* d_out, std::uint32_t* p_out,
-                                     std::size_t k_begin, std::size_t k_end) {
-  for (std::size_t k = k_begin; k < k_end; ++k) {
-    const std::size_t i = indices[k];
-    const std::size_t t = std::size_t{d[i]} * n;
-    GCALIB_EXPECTS_MSG(t < field_cells,
-                       "pointer jump target outside the field");
-    d_out[i] = d[t];
-    p_out[i] = static_cast<std::uint32_t>(t);
-  }
-}
-
-void hirschberg_fallback_indexed(std::size_t n, std::uint32_t inf,
-                                 const std::uint32_t* indices,
-                                 const std::uint32_t* d, std::uint32_t* d_out,
-                                 std::uint32_t* p_out, std::size_t k_begin,
-                                 std::size_t k_end) {
-  const std::size_t nn = n * n;
-  for (std::size_t k = k_begin; k < k_end; ++k) {
-    const std::size_t i = indices[k];
-    const std::size_t p = nn + i / n;
-    const std::uint32_t self = d[i];
-    d_out[i] = self == inf ? d[p] : self;
-    p_out[i] = static_cast<std::uint32_t>(p);
-  }
-}
-
-void hirschberg_final_min_indexed(std::size_t n, std::size_t field_cells,
-                                  const std::uint32_t* indices,
-                                  const std::uint32_t* d, std::uint32_t* d_out,
-                                  std::uint32_t* p_out, std::size_t k_begin,
-                                  std::size_t k_end) {
-  for (std::size_t k = k_begin; k < k_end; ++k) {
-    const std::size_t i = indices[k];
-    const std::uint32_t self = d[i];
-    const std::size_t t = std::size_t{self} * n + 1;
-    GCALIB_EXPECTS_MSG(t < field_cells,
-                       "final-min target outside the field");
-    const std::uint32_t global = d[t];
-    d_out[i] = global < self ? global : self;
-    p_out[i] = static_cast<std::uint32_t>(t);
-  }
-}
-
 }  // namespace gcalib::gca

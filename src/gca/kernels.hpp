@@ -75,120 +75,4 @@ struct ListRankResult {
 /// a single access.
 [[nodiscard]] ListRankResult list_rank(const std::vector<std::size_t>& next);
 
-// --- Hirschberg bulk kernels (SoA fast path) ----------------------------
-//
-// Tight branch-free inner loops for the O(n^2)-active generations of the
-// Hirschberg machine, operating directly on the SoA field arrays (`d`/`p`
-// double-buffered, `a` immutable; see SoaLayout<core::Cell>).  Each kernel
-// covers one generation's uniform rule over a contiguous slice
-// [k_begin, k_end) of its active region's enumeration (gca/execution.hpp),
-// which is how `Engine::step_bulk` chunks them across lanes — the slice
-// boundaries are the same for every backend, so kernel and rule execution
-// stay bit-identical.  All kernels write d_out/p_out only at active
-// indices; the engine's sparse commit publishes exactly those.
-//
-// `n` is the square side of the (n+1) x n field; rows have pitch n and the
-// bottom row D_N starts at linear index n*n.
-
-/// Generation 0 (init): full field, k is the linear index.
-/// d_out[i] = row(i), p_out[i] = i — pure geometry, no reads.
-void hirschberg_init(std::size_t n, std::uint32_t* d_out, std::uint32_t* p_out,
-                     std::size_t k_begin, std::size_t k_end);
-
-/// Generations 1 and 5 (copy C/T to rows): active region is `row_count`
-/// full-width rows from row 0 (n+1 under generation 1, n under
-/// generation 5), so k IS the linear index.  d_out[i] = d[col(i) * n].
-void hirschberg_column_broadcast(std::size_t n, const std::uint32_t* d,
-                                 std::uint32_t* d_out, std::uint32_t* p_out,
-                                 std::size_t k_begin, std::size_t k_end);
-
-/// Generation 2 (mask neighbours): square, k is the linear index.
-/// d_out[i] = (d[i] != D_N[row] && a-bit i set) ? d[i] : inf, with the
-/// per-row global read D_N[row] = d[n^2 + row] hoisted out of the row loop.
-/// The adjacency plane arrives bit-packed 64 cells per word
-/// (gca/bitplane.hpp; the plane's guard word lets SIMD variants read one
-/// word past the last payload word).
-void hirschberg_mask_neighbors(std::size_t n, std::uint32_t inf,
-                               const std::uint64_t* a_words,
-                               const std::uint32_t* d, std::uint32_t* d_out,
-                               std::uint32_t* p_out, std::size_t k_begin,
-                               std::size_t k_end);
-
-/// Generation 6 (mask members): square, k is the linear index.
-/// d_out[i] = (D_N[col] == row && d[i] != row) ? d[i] : inf with
-/// D_N[col] = d[n^2 + col] (the paper-erratum pointer; see DESIGN.md).
-void hirschberg_mask_members(std::size_t n, std::uint32_t inf,
-                             const std::uint32_t* d, std::uint32_t* d_out,
-                             std::uint32_t* p_out, std::size_t k_begin,
-                             std::size_t k_end);
-
-/// Generations 3 and 7, sub-generation with partner distance `offset`:
-/// the active region strides the surviving columns (col % 2*offset == 0,
-/// col + offset < n), so k enumerates that lattice.
-/// d_out[i] = min(d[i], d[i + offset]).
-void hirschberg_row_min(std::size_t n, std::size_t offset,
-                        const std::uint32_t* d, std::uint32_t* d_out,
-                        std::uint32_t* p_out, std::size_t k_begin,
-                        std::size_t k_end);
-
-/// Span form of row-min for small offsets: sweeps the *whole* square
-/// (k IS the linear index) and carries d/p through unchanged at inactive
-/// cells.  Physically O(n^2), but contiguous — the SIMD variants and the
-/// engine's complement-swap commit make it beat the strided window when
-/// occupancy is still >= 1/(2*offset) per row.
-void hirschberg_row_min_span(std::size_t n, std::size_t offset,
-                             const std::uint32_t* d, const std::uint32_t* p,
-                             std::uint32_t* d_out, std::uint32_t* p_out,
-                             std::size_t k_begin, std::size_t k_end);
-
-/// Worklist form of row-min for large offsets: k indexes `indices`, an
-/// ascending list of exactly the active cells (gca/worklist.hpp), each
-/// with partner i + offset.
-void hirschberg_row_min_indexed(std::size_t offset,
-                                const std::uint32_t* indices,
-                                const std::uint32_t* d, std::uint32_t* d_out,
-                                std::uint32_t* p_out, std::size_t k_begin,
-                                std::size_t k_end);
-
-/// Generation 9 (adopt): full field, k is the linear index.  Square rows
-/// splat the row head d[row * n] across the row; the bottom row gathers
-/// the transposed T: d_out[n^2 + i] = d[i * n].
-void hirschberg_adopt(std::size_t n, const std::uint32_t* d,
-                      std::uint32_t* d_out, std::uint32_t* p_out,
-                      std::size_t k_begin, std::size_t k_end);
-
-/// Generation 10 (pointer jump): column 0 of the square, k is the row.
-/// The data-dependent pointer t = d[row * n] * n must stay inside the
-/// field (`field_cells`); a corrupted pointer throws ContractViolation,
-/// which the fault-recovery ladder treats as a detection.
-void hirschberg_pointer_jump(std::size_t n, std::size_t field_cells,
-                             const std::uint32_t* d, std::uint32_t* d_out,
-                             std::uint32_t* p_out, std::size_t k_begin,
-                             std::size_t k_end);
-
-/// Worklist form of the pointer jump: k indexes `indices` (the column-0
-/// cells, ascending).  Same data-dependent bounds check as above.
-void hirschberg_pointer_jump_indexed(std::size_t n, std::size_t field_cells,
-                                     const std::uint32_t* indices,
-                                     const std::uint32_t* d,
-                                     std::uint32_t* d_out, std::uint32_t* p_out,
-                                     std::size_t k_begin, std::size_t k_end);
-
-/// Worklist form of generations 4 and 8 (fallback): k indexes `indices`
-/// (the column-0 cells).  d_out[i] = d[i] == inf ? D_N[row(i)] : d[i].
-void hirschberg_fallback_indexed(std::size_t n, std::uint32_t inf,
-                                 const std::uint32_t* indices,
-                                 const std::uint32_t* d, std::uint32_t* d_out,
-                                 std::uint32_t* p_out, std::size_t k_begin,
-                                 std::size_t k_end);
-
-/// Worklist form of generation 11 (final min): k indexes `indices` (the
-/// column-0 cells).  Data-dependent read t = d[i] * n + 1 (T(C(j)) from a
-/// row copy); a corrupted pointer throws ContractViolation like the jump.
-void hirschberg_final_min_indexed(std::size_t n, std::size_t field_cells,
-                                  const std::uint32_t* indices,
-                                  const std::uint32_t* d, std::uint32_t* d_out,
-                                  std::uint32_t* p_out, std::size_t k_begin,
-                                  std::size_t k_end);
-
 }  // namespace gcalib::gca

@@ -126,9 +126,22 @@ TEST(SelfCheck, PassesOnHealthyRuns) {
 }
 
 TEST(SelfCheck, GraphFromFieldRoundTrips) {
+  // No rule writes the adjacency bit a: the field still holds the input
+  // graph after a whole run, instrumented or not, at any sweep width.
   const graph::Graph g = graph::random_gnp(12, 0.4, 3);
-  core::HirschbergGca machine(g);
-  EXPECT_EQ(machine.graph_from_field(), g);
+  core::HirschbergGca fresh(g);
+  EXPECT_EQ(fresh.graph_from_field(), g);
+  for (const bool instrument : {true, false}) {
+    for (const unsigned threads : {1u, 4u}) {
+      core::RunOptions options;
+      options.instrument = instrument;
+      options.threads = threads;
+      core::HirschbergGca machine(g);
+      (void)machine.run(options);
+      EXPECT_EQ(machine.graph_from_field(), g)
+          << "instrument=" << instrument << " threads=" << threads;
+    }
+  }
 }
 
 TEST(SelfCheck, CorruptionMidRunSelfHeals) {

@@ -319,8 +319,8 @@ TEST(FaultTolerance, NmrMasksMinorityFault) {
 }
 
 TEST(FaultTolerance, RecoveryConvergesUnderSparseSweeps) {
-  // ISSUE 4 compat check: the checkpoint/rollback ladder snapshots the SoA
-  // buffers (immutable a + double-buffered d/p), so every detection site —
+  // The checkpoint/rollback ladder snapshots every register of every cell
+  // (a, d and p), so every detection site —
   // including corruption of the adjacency register itself — must still
   // recover when the engine runs the sparse active-region schedule, and the
   // whole resilient run must agree with its dense twin bit for bit.

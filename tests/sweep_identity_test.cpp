@@ -1,12 +1,15 @@
-// Dense/sparse equivalence (ISSUE 4): the sparse sweep mode — engine
-// iterating only each generation's ActiveRegion — must be bit-identical to
-// the dense whole-field sweep in final labels, cell states and the logical
-// (Table-1) statistics, across all three execution backends and thread
-// counts.  Also pins the ActiveRegion enumeration/validation semantics the
-// equivalence rests on (DESIGN.md §9).
+// Dense/sparse equivalence: the sparse sweep mode — engine iterating only
+// each generation's ActiveRegion — must be bit-identical to the dense
+// whole-field sweep in final labels, cell states and the logical (Table-1)
+// statistics, at every thread count; and instrumentation must only
+// observe, never change, the field.  Also pins the ActiveRegion
+// enumeration/validation semantics the equivalence rests on (DESIGN.md §9).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -149,26 +152,60 @@ TEST(SweepIdentity, DenseAndSparseAgreeAcrossBackendsAndThreads) {
   }
 }
 
-TEST(SweepIdentity, BulkKernelPathMatchesMediatedRulePath) {
-  // Uninstrumented sparse runs dispatch the branch-free kernels
-  // (gca/kernels.hpp); they must reproduce the instrumented rule path's
-  // field bit for bit on every backend.
-  for (const graph::Graph& g :
-       {graph::random_gnp(19, 0.2, 3), graph::path(16),
-        graph::disjoint_cliques({7, 6, 5}), graph::complete(8)}) {
-    RunOptions mediated;  // instrument = true -> rule path
-    HirschbergGca reference(g);
-    const RunResult expected = reference.run(mediated);
+/// FNV-1a over every register of every cell: one fingerprint per step.
+std::uint64_t field_hash(const std::vector<core::Cell>& cells) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const core::Cell& cell : cells) {
+    for (const std::uint32_t word : {cell.a, cell.d, cell.p}) {
+      hash = (hash ^ word) * 1099511628211ull;
+    }
+  }
+  return hash;
+}
 
-    for (const unsigned threads : {1u, 4u}) {
-      RunOptions bulk;
-      bulk.instrument = false;  // -> kernel path
-      bulk.threads = threads;
-      HirschbergGca machine(g);
-      const RunResult result = machine.run(bulk);
-      EXPECT_EQ(result.labels, expected.labels) << threads;
-      EXPECT_EQ(machine.engine().states(), reference.engine().states())
-          << threads;
+/// The field's fingerprint after every step of one run, plus its labels.
+struct Fingerprint {
+  std::vector<std::uint64_t> steps;
+  std::vector<graph::NodeId> labels;
+};
+
+Fingerprint fingerprint(const graph::Graph& g, bool instrument,
+                        unsigned threads) {
+  HirschbergGca machine(g);
+  RunOptions options;
+  options.instrument = instrument;
+  options.threads = threads;
+  Fingerprint fp;
+  options.after_step = [&fp](HirschbergGca& m, const core::StepId&) {
+    fp.steps.push_back(field_hash(m.engine().states()));
+  };
+  fp.labels = machine.run(options).labels;
+  return fp;
+}
+
+TEST(SweepIdentity, UninstrumentedRunsMatchInstrumentedAtEveryStep) {
+  // Instrumentation only observes: an uninstrumented run at any width must
+  // reproduce the instrumented one-thread run's field after *every* step,
+  // not just its labels, so a divergence at inactive cells or in the p
+  // plane cannot hide behind a later all-overwriting generation.  n = 67
+  // and n = 130 are ragged against the lane chunks and run row-min offsets
+  // up to 64 and 128; the tree takes many pointer-jump rounds with work.
+  const std::pair<std::string, graph::Graph> cases[] = {
+      {"gnp(67, 0.3)", graph::random_gnp(67, 0.3, 20260809)},
+      {"gnp(130, 0.08)", graph::random_gnp(130, 0.08, 424242)},
+      {"tree(96)", graph::random_tree(96, 7)}};
+  for (const auto& [name, g] : cases) {
+    const Fingerprint reference = fingerprint(g, /*instrument=*/true, 1);
+    ASSERT_FALSE(reference.steps.empty()) << name;
+    for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+      const Fingerprint fp = fingerprint(g, /*instrument=*/false, threads);
+      const std::string where = name + " x " + std::to_string(threads);
+      ASSERT_EQ(fp.labels, reference.labels) << where;
+      ASSERT_EQ(fp.steps.size(), reference.steps.size()) << where;
+      for (std::size_t step = 0; step < fp.steps.size(); ++step) {
+        ASSERT_EQ(fp.steps[step], reference.steps[step])
+            << where << " diverges at step " << step;
+      }
     }
   }
 }
