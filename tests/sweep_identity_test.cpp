@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -183,31 +182,50 @@ Fingerprint fingerprint(const graph::Graph& g, bool instrument,
   return fp;
 }
 
-TEST(SweepIdentity, UninstrumentedRunsMatchInstrumentedAtEveryStep) {
-  // Instrumentation only observes: an uninstrumented run at any width must
-  // reproduce the instrumented one-thread run's field after *every* step,
-  // not just its labels, so a divergence at inactive cells or in the p
-  // plane cannot hide behind a later all-overwriting generation.  n = 67
-  // and n = 130 are ragged against the lane chunks and run row-min offsets
-  // up to 64 and 128; the tree takes many pointer-jump rounds with work.
-  const std::pair<std::string, graph::Graph> cases[] = {
-      {"gnp(67, 0.3)", graph::random_gnp(67, 0.3, 20260809)},
-      {"gnp(130, 0.08)", graph::random_gnp(130, 0.08, 424242)},
-      {"tree(96)", graph::random_tree(96, 7)}};
-  for (const auto& [name, g] : cases) {
-    const Fingerprint reference = fingerprint(g, /*instrument=*/true, 1);
-    ASSERT_FALSE(reference.steps.empty()) << name;
-    for (const unsigned threads : {1u, 2u, 4u, 7u}) {
-      const Fingerprint fp = fingerprint(g, /*instrument=*/false, threads);
-      const std::string where = name + " x " + std::to_string(threads);
-      ASSERT_EQ(fp.labels, reference.labels) << where;
-      ASSERT_EQ(fp.steps.size(), reference.steps.size()) << where;
-      for (std::size_t step = 0; step < fp.steps.size(); ++step) {
-        ASSERT_EQ(fp.steps[step], reference.steps[step])
-            << where << " diverges at step " << step;
-      }
+/// Instrumentation only observes: an uninstrumented run at any width must
+/// reproduce the instrumented one-thread run's field after *every* step,
+/// not just its labels, so a divergence at inactive cells or in the p
+/// plane cannot hide behind a later all-overwriting generation.
+void expect_step_identity(const graph::Graph& g, const std::string& name) {
+  const Fingerprint reference = fingerprint(g, /*instrument=*/true, 1);
+  ASSERT_FALSE(reference.steps.empty()) << name;
+  for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+    const Fingerprint fp = fingerprint(g, /*instrument=*/false, threads);
+    const std::string where = name + " x " + std::to_string(threads);
+    ASSERT_EQ(fp.labels, reference.labels) << where;
+    ASSERT_EQ(fp.steps.size(), reference.steps.size()) << where;
+    for (std::size_t step = 0; step < fp.steps.size(); ++step) {
+      ASSERT_EQ(fp.steps[step], reference.steps[step])
+          << where << " diverges at step " << step;
     }
   }
+}
+
+TEST(SweepIdentity, UninstrumentedRunsMatchInstrumentedAtEveryStep) {
+  // Small shapes: a sparse random graph, a path (longest pointer chains),
+  // unequal cliques (several components) and one complete graph.
+  expect_step_identity(graph::random_gnp(19, 0.2, 3), "gnp(19, 0.2)");
+  expect_step_identity(graph::path(16), "path(16)");
+  expect_step_identity(graph::disjoint_cliques({7, 6, 5}), "cliques(7,6,5)");
+  expect_step_identity(graph::complete(8), "complete(8)");
+}
+
+TEST(SweepIdentity,
+     UninstrumentedDenseRandomGraphMatchesInstrumentedAtEveryStep) {
+  // n = 67: ragged against the lane chunks; row-min offsets up to 64.
+  expect_step_identity(graph::random_gnp(67, 0.3, 20260809), "gnp(67, 0.3)");
+}
+
+TEST(SweepIdentity,
+     UninstrumentedSparseRandomGraphMatchesInstrumentedAtEveryStep) {
+  // n = 130: row-min offsets up to 128 over a sparse adjacency.
+  expect_step_identity(graph::random_gnp(130, 0.08, 424242),
+                       "gnp(130, 0.08)");
+}
+
+TEST(SweepIdentity, UninstrumentedTreeMatchesInstrumentedAtEveryStep) {
+  // Deep component structure: many pointer-jump rounds with real work.
+  expect_step_identity(graph::random_tree(96, 7), "tree(96)");
 }
 
 TEST(SweepIdentity, SparseSweepsStrictlyLessThanDense) {
